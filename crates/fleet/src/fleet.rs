@@ -1351,7 +1351,8 @@ impl<S: TraceSink + 'static> Fleet<S> {
     }
 
     /// The conservation and capacity invariants re-checked per event when
-    /// [`FleetConfig::check_invariants`] is set.
+    /// [`FleetConfig::check_invariants`] is set, including every host's
+    /// memory ledger against a full recount of its pool slots.
     ///
     /// # Panics
     ///
@@ -1397,6 +1398,20 @@ impl<S: TraceSink + 'static> Fleet<S> {
             assert!(
                 committed <= host.capacity_mb() + 1e-6,
                 "host {} over capacity: {committed} MB",
+                host.id()
+            );
+            // Differential check: the O(1) memory ledger against a full
+            // recount of every pool slot.
+            assert_eq!(
+                committed,
+                host.committed_mb_scan(),
+                "host {} committed-memory ledger diverged from its slots",
+                host.id()
+            );
+            assert_eq!(
+                host.evictable_idle_mb(now_ms),
+                host.idle_mb_scan(),
+                "host {} idle-memory ledger diverged from its slots",
                 host.id()
             );
         }

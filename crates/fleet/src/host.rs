@@ -16,6 +16,26 @@
 //! requests cold-start into a fresh pool at the new size. A [`Placement`]
 //! remembers which generation an invocation started on so completions
 //! always release into the right pool.
+//!
+//! # Cost model
+//!
+//! Memory queries — [`Host::committed_mb`], [`Host::free_mb`],
+//! [`Host::load`], `Host::evictable_idle_mb`, and with them
+//! [`Host::feasible`] — are O(1). The host keeps a ledger of committed and
+//! idle memory, updated from each pool's (live, idle) counts around every
+//! pool transition (begin, complete, expiry, eviction, retirement, crash,
+//! finalization), and a lower bound on the earliest idle expiry across its
+//! pools. A query re-reaps the pools only once `now_ms` reaches that
+//! bound, i.e. once some instance can really have expired; pool slots are
+//! scanned only then, on warm reuse, and on eviction. Every pool is still
+//! reaped with the exact `now − release > ttl` predicate at every query
+//! that could observe an expiry, so results match a full rescan exactly.
+//!
+//! The ledger sums **integer** megabytes, so its running sums equal the
+//! recomputed ones bit for bit: pool memory sizes must be whole MB
+//! (checked by a `debug_assert!`). `Host::committed_mb_scan` and
+//! `Host::idle_mb_scan` keep the full O(slots) recount as the reference
+//! that `Fleet::assert_invariants` checks the ledger against.
 
 use sizeless_platform::pool::{InstanceId, WarmPool};
 use std::collections::VecDeque;
@@ -26,6 +46,56 @@ use std::collections::VecDeque;
 struct FnPool {
     mem_mb: f64,
     pool: WarmPool,
+}
+
+impl FnPool {
+    fn new(mem_mb: f64, default_ttl_ms: f64) -> Self {
+        debug_assert!(
+            mem_mb >= 0.0 && mem_mb.fract() == 0.0,
+            "host memory accounting needs whole-MB sizes, got {mem_mb}"
+        );
+        FnPool {
+            mem_mb,
+            pool: WarmPool::new(default_ttl_ms),
+        }
+    }
+}
+
+/// The host's memory ledger: `live × mem` and `idle × mem` summed over every
+/// retained pool generation (as of each pool's last reap) in whole MB, and a
+/// lower bound on the earliest idle expiry across those pools.
+#[derive(Debug, Clone, Copy)]
+struct Ledger {
+    committed_mb: u64,
+    idle_mb: u64,
+    next_expiry_ms: f64,
+}
+
+impl Ledger {
+    const EMPTY: Ledger = Ledger {
+        committed_mb: 0,
+        idle_mb: 0,
+        next_expiry_ms: f64::INFINITY,
+    };
+
+    /// Runs `op` on one pool generation and folds the change in its (live,
+    /// idle) counts and expiry bound into the ledger.
+    fn track<R>(&mut self, fp: &mut FnPool, op: impl FnOnce(&mut WarmPool) -> R) -> R {
+        let (live, idle) = (fp.pool.live(), fp.pool.idle());
+        let out = op(&mut fp.pool);
+        let mb = fp.mem_mb as u64;
+        self.committed_mb = self.committed_mb + fp.pool.live() as u64 * mb - live as u64 * mb;
+        self.idle_mb = self.idle_mb + fp.pool.idle() as u64 * mb - idle as u64 * mb;
+        self.next_expiry_ms = self.next_expiry_ms.min(fp.pool.next_expiry_ms());
+        out
+    }
+
+    /// Removes a pruned generation's memory from the ledger.
+    fn forget(&mut self, fp: &FnPool) {
+        let mb = fp.mem_mb as u64;
+        self.committed_mb -= fp.pool.live() as u64 * mb;
+        self.idle_mb -= fp.pool.idle() as u64 * mb;
+    }
 }
 
 /// A started invocation's location on a host: the pool generation it was
@@ -67,6 +137,7 @@ pub struct Host {
     capacity_mb: f64,
     /// Pool generations per function id.
     pools: Vec<FnGens>,
+    ledger: Ledger,
     busy_mb_ms: f64,
     resize_drains: usize,
     /// Counters folded in from pruned (fully drained) generations.
@@ -95,6 +166,7 @@ impl Host {
             id,
             capacity_mb,
             pools: Vec::new(),
+            ledger: Ledger::EMPTY,
             busy_mb_ms: 0.0,
             resize_drains: 0,
             pruned_provisioned: 0,
@@ -137,6 +209,7 @@ impl Host {
                 self.pruned_wasted_mb_ms += dead.pool.wasted_idle_ms() * dead.mem_mb;
             }
         }
+        self.ledger = Ledger::EMPTY;
         (lost_in_flight, lost_warm)
     }
 
@@ -170,10 +243,9 @@ impl Host {
                 // directive would.
                 self.retire_and_replace(fn_id, mem_mb, default_ttl_ms, now_ms);
             }
-            None => self.pools[fn_id].gens.push_back(FnPool {
-                mem_mb,
-                pool: WarmPool::new(default_ttl_ms),
-            }),
+            None => self.pools[fn_id]
+                .gens
+                .push_back(FnPool::new(mem_mb, default_ttl_ms)),
         }
         let gens = &self.pools[fn_id];
         gens.first + gens.gens.len() - 1
@@ -191,17 +263,13 @@ impl Host {
         now_ms: f64,
     ) -> usize {
         let gens = &mut self.pools[fn_id];
-        let drained = gens
+        let active = gens
             .active_mut()
             // lint: allow(panic002) reason="resize only calls this after matching on an active pool"
-            .expect("transition requires an active pool")
-            .pool
-            .retire_idle(now_ms);
+            .expect("transition requires an active pool");
+        let drained = self.ledger.track(active, |p| p.retire_idle(now_ms));
         self.resize_drains += drained;
-        gens.gens.push_back(FnPool {
-            mem_mb,
-            pool: WarmPool::new(default_ttl_ms),
-        });
+        gens.gens.push_back(FnPool::new(mem_mb, default_ttl_ms));
         self.prune_drained(fn_id);
         drained
     }
@@ -225,7 +293,7 @@ impl Host {
 
     /// Drops retired generations (oldest first) once they hold no in-flight
     /// instances, folding their counters into the host totals — repeated
-    /// resizes therefore keep the per-dispatch scans O(live generations),
+    /// resizes therefore keep the host's pool rescans O(live generations),
     /// not O(resizes ever applied). The active generation is never pruned.
     fn prune_drained(&mut self, fn_id: usize) {
         let gens = &mut self.pools[fn_id];
@@ -236,6 +304,7 @@ impl Host {
             let Some(dead) = gens.gens.pop_front() else {
                 break;
             };
+            self.ledger.forget(&dead);
             gens.first += 1;
             self.pruned_provisioned += dead.pool.provisioned();
             self.pruned_evictions += dead.pool.evictions();
@@ -250,13 +319,35 @@ impl Host {
         self.pools.get(fn_id).map_or(0, |g| g.gens.len())
     }
 
+    /// Reaps every pool generation at `now_ms`, once some idle instance can
+    /// have expired; below the ledger's expiry bound each reap is a no-op.
+    fn reap_all(&mut self, now_ms: f64) {
+        if now_ms < self.ledger.next_expiry_ms {
+            return;
+        }
+        let mut next = f64::INFINITY;
+        for fp in self.pools.iter_mut().flat_map(|g| g.gens.iter_mut()) {
+            self.ledger.track(fp, |p| p.reap(now_ms));
+            next = next.min(fp.pool.next_expiry_ms());
+        }
+        self.ledger.next_expiry_ms = next;
+    }
+
     /// Memory committed to live (warm or busy) instances at `now_ms`, MB.
     /// Draining generations still commit for their in-flight instances.
     pub fn committed_mb(&mut self, now_ms: f64) -> f64 {
+        self.reap_all(now_ms);
+        self.ledger.committed_mb as f64
+    }
+
+    /// [`Host::committed_mb`] recounted from every slot of every retained
+    /// pool generation, without reaping — the O(slots) reference the ledger
+    /// must equal after any query.
+    pub(crate) fn committed_mb_scan(&self) -> f64 {
         self.pools
-            .iter_mut()
-            .flat_map(|g| g.gens.iter_mut())
-            .map(|fp| fp.pool.live_at(now_ms) as f64 * fp.mem_mb)
+            .iter()
+            .flat_map(|g| &g.gens)
+            .map(|fp| fp.pool.scan_live_idle().0 as f64 * fp.mem_mb)
             .sum()
     }
 
@@ -277,17 +368,26 @@ impl Host {
             return 0;
         }
         match self.pools.get_mut(fn_id).and_then(FnGens::active_mut) {
-            Some(fp) => fp.pool.warm_idle_at(now_ms),
+            Some(fp) => self.ledger.track(fp, |p| p.warm_idle_at(now_ms)),
             None => 0,
         }
     }
 
-    /// Memory reclaimable by evicting idle instances (any function), MB.
-    fn evictable_idle_mb(&mut self, now_ms: f64) -> f64 {
+    /// Memory reclaimable by evicting idle instances (any function) at
+    /// `now_ms`, MB.
+    pub(crate) fn evictable_idle_mb(&mut self, now_ms: f64) -> f64 {
+        self.reap_all(now_ms);
+        self.ledger.idle_mb as f64
+    }
+
+    /// `evictable_idle_mb` recounted from every slot, without
+    /// reaping — the O(slots) reference the ledger must equal after any
+    /// query.
+    pub(crate) fn idle_mb_scan(&self) -> f64 {
         self.pools
-            .iter_mut()
-            .flat_map(|g| g.gens.iter_mut())
-            .map(|fp| fp.pool.warm_idle_at(now_ms) as f64 * fp.mem_mb)
+            .iter()
+            .flat_map(|g| &g.gens)
+            .map(|fp| fp.pool.scan_live_idle().1 as f64 * fp.mem_mb)
             .sum()
     }
 
@@ -315,19 +415,23 @@ impl Host {
     /// Evicts the least-recently released idle instance across all pools.
     /// Returns `false` when nothing is idle.
     fn evict_globally_lru(&mut self, now_ms: f64) -> bool {
+        // Reaping first leaves idle-free pools with nothing to offer, so
+        // only pools still holding idle instances are scanned.
+        self.reap_all(now_ms);
+        let ledger = &mut self.ledger;
         let victim = self
             .pools
             .iter_mut()
             .flat_map(|g| g.gens.iter_mut())
-            .map(|fp| &mut fp.pool)
-            .filter_map(|pool| {
-                let t = pool.oldest_idle_release_ms(now_ms)?;
-                Some((pool, t))
+            .filter(|fp| fp.pool.idle() > 0)
+            .filter_map(|fp| {
+                let t = ledger.track(fp, |p| p.oldest_idle_release_ms(now_ms))?;
+                Some((fp, t))
             })
             .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(pool, _)| pool);
+            .map(|(fp, _)| fp);
         match victim {
-            Some(pool) => pool.evict_lru_idle(now_ms),
+            Some(fp) => self.ledger.track(fp, |p| p.evict_lru_idle(now_ms)),
             None => false,
         }
     }
@@ -346,29 +450,22 @@ impl Host {
             return None;
         }
         let generation = self.ensure_pool(fn_id, mem_mb, default_ttl_ms, now_ms);
-        if self.warm_idle(fn_id, now_ms) > 0 {
-            return self.pools[fn_id]
-                .get_mut(generation)
-                // lint: allow(panic002) reason="ensure_pool above just returned this generation as active"
-                .expect("active generation exists")
-                .pool
-                .try_begin(now_ms)
-                .map(|(instance, cold)| (Placement { generation, instance }, cold));
-        }
-        if mem_mb > self.capacity_mb {
-            return None;
-        }
-        while self.free_mb(now_ms) + 1e-9 < mem_mb {
-            if !self.evict_globally_lru(now_ms) {
+        if self.warm_idle(fn_id, now_ms) == 0 {
+            if mem_mb > self.capacity_mb {
                 return None;
             }
+            while self.free_mb(now_ms) + 1e-9 < mem_mb {
+                if !self.evict_globally_lru(now_ms) {
+                    return None;
+                }
+            }
         }
-        self.pools[fn_id]
+        let fp = self.pools[fn_id]
             .get_mut(generation)
             // lint: allow(panic002) reason="ensure_pool above just returned this generation as active"
-            .expect("active generation exists")
-            .pool
-            .try_begin(now_ms)
+            .expect("active generation exists");
+        self.ledger
+            .track(fp, |p| p.try_begin(now_ms))
             .map(|(instance, cold)| (Placement { generation, instance }, cold))
     }
 
@@ -392,7 +489,9 @@ impl Host {
             // lint: allow(panic002) reason="completions carry a placement minted at dispatch, so the generation exists on this host"
             .expect("completion for a generation never created on this host");
         let ttl = if retired { 0.0 } else { ttl_ms };
-        fp.pool.complete_with_ttl(placement.instance, finish_ms, ttl);
+        self.ledger.track(fp, |p| {
+            p.complete_with_ttl(placement.instance, finish_ms, ttl)
+        });
         self.busy_mb_ms += busy_ms * fp.mem_mb;
         if retired {
             self.resize_drains += 1;
@@ -469,7 +568,7 @@ impl Host {
     /// idle memory-time.
     pub fn finalize(&mut self, end_ms: f64) {
         for fp in self.pools.iter_mut().flat_map(|g| g.gens.iter_mut()) {
-            fp.pool.finalize(end_ms);
+            self.ledger.track(fp, |p| p.finalize(end_ms));
         }
     }
 }
@@ -477,6 +576,7 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TTL: f64 = 60_000.0;
 
@@ -712,5 +812,75 @@ mod tests {
         h.rejoin();
         let _ = h.try_begin(0, 512.0, TTL, 20.0).unwrap();
         h.complete(0, p, 30.0, TTL, 30.0);
+    }
+
+    /// Asserts the ledger equals the full slot recount, and that a query at
+    /// `now_ms` sees exactly what reaping every pool first would give.
+    fn assert_ledger_exact(h: &mut Host, now_ms: f64) {
+        assert_eq!(h.ledger.committed_mb as f64, h.committed_mb_scan());
+        assert_eq!(h.ledger.idle_mb as f64, h.idle_mb_scan());
+        let mut reaped = h.clone();
+        for fp in reaped.pools.iter_mut().flat_map(|g| g.gens.iter_mut()) {
+            fp.pool.reap(now_ms);
+        }
+        assert_eq!(h.committed_mb(now_ms), reaped.committed_mb_scan());
+        assert_eq!(h.evictable_idle_mb(now_ms), reaped.idle_mb_scan());
+        assert_eq!(h.expirations(), reaped.expirations());
+        assert_eq!(h.wasted_mb_ms().to_bits(), reaped.wasted_mb_ms().to_bits());
+        assert_eq!(h.ledger.committed_mb as f64, h.committed_mb_scan());
+        assert_eq!(h.ledger.idle_mb as f64, h.idle_mb_scan());
+    }
+
+    proptest! {
+        /// The O(1) memory ledger equals the full slot recount after any
+        /// sequence of begins, completions (TTL 0 and > 0), resizes,
+        /// crashes and rejoins, and finalization at non-decreasing times.
+        #[test]
+        fn ledger_matches_full_scan(
+            ops in proptest::collection::vec(
+                (0usize..10, 0.0f64..250.0, 0usize..3, 0usize..4, 0.0f64..1.0),
+                1..200,
+            ),
+        ) {
+            const SIZES: [f64; 4] = [128.0, 256.0, 512.0, 1024.0];
+            let mut h = Host::new(0, 2048.0);
+            let mut sizes = [256.0; 3];
+            let mut in_flight: Vec<(usize, Placement)> = Vec::new();
+            let mut now = 0.0;
+            for (op, gap, fn_id, k, pick) in ops {
+                now += gap;
+                match op {
+                    0..=2 => {
+                        if let Some((p, _)) = h.try_begin(fn_id, sizes[fn_id], TTL, now) {
+                            in_flight.push((fn_id, p));
+                        }
+                    }
+                    3 | 4 if !in_flight.is_empty() => {
+                        let i = ((in_flight.len() as f64 * pick) as usize).min(in_flight.len() - 1);
+                        let (f, p) = in_flight.swap_remove(i);
+                        let ttl = if op == 3 { 0.0 } else { [50.0, 400.0, 1_500.0, TTL][k] };
+                        h.complete(f, p, now, ttl, gap);
+                    }
+                    5 => {
+                        sizes[fn_id] = SIZES[k];
+                        h.resize(fn_id, SIZES[k], TTL, now);
+                    }
+                    6 if h.is_available() => {
+                        h.crash(now);
+                        in_flight.clear();
+                    }
+                    6 => h.rejoin(),
+                    7 => h.finalize(now),
+                    _ => {
+                        let _ = h.feasible(fn_id, SIZES[k], now);
+                        let _ = h.warm_idle(fn_id, now);
+                    }
+                }
+                assert_ledger_exact(&mut h, now);
+            }
+            h.finalize(now + TTL);
+            prop_assert_eq!(h.idle_mb_scan(), 0.0);
+            assert_ledger_exact(&mut h, now + TTL);
+        }
     }
 }

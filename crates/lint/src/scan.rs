@@ -72,6 +72,8 @@ pub fn classify(rel_path: &str) -> Option<FileInfo> {
     let parts: Vec<&str> = rel_path.split('/').collect();
     let (krate, rest): (String, &[&str]) = match parts.as_slice() {
         ["crates", krate, rest @ ..] if !rest.is_empty() => (krate.to_string(), rest),
+        // The benchmark is a Cargo workspace of its own, not root-crate code.
+        ["perfbench", rest @ ..] if !rest.is_empty() => ("perfbench".to_string(), rest),
         _ => ("sizeless".to_string(), &parts[..]),
     };
     let kind = if rest.contains(&"tests") {
@@ -665,4 +667,28 @@ fn filter_report(
 
     report.findings.sort_by_key(|f| (f.line, f.col));
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classify_maps_paths_to_crates_modules_and_kinds() {
+        let cases = [
+            ("crates/fleet/src/host.rs", "fleet", "fleet::host", FileKind::Lib),
+            ("crates/lint/tests/rules.rs", "lint", "lint::tests::rules", FileKind::Test),
+            ("src/lib.rs", "sizeless", "sizeless", FileKind::Lib),
+            ("tests/determinism.rs", "sizeless", "sizeless::tests::determinism", FileKind::Test),
+            // The benchmark has its own Cargo workspace: its own crate.
+            ("perfbench/src/fleets.rs", "perfbench", "perfbench::fleets", FileKind::Lib),
+            ("perfbench/src/main.rs", "perfbench", "perfbench", FileKind::Lib),
+        ];
+        for (path, krate, module, kind) in cases {
+            let info = classify(path).expect("a Rust file");
+            let got = (info.krate.as_str(), info.module.as_str(), info.kind);
+            assert_eq!(got, (krate, module, kind), "{path}");
+        }
+        assert!(classify("perfbench/run.py").is_none());
+    }
 }

@@ -21,6 +21,18 @@
 //!   the fleet's wasted MB·ms metric;
 //! * **eviction** ([`WarmPool::evict_lru_idle`]) so a host can reclaim
 //!   memory from idle instances to place a new one.
+//!
+//! # Cost model
+//!
+//! Counts ([`WarmPool::live`], [`WarmPool::idle`], [`WarmPool::in_flight`])
+//! are O(1) counters. Reaping is lazy: the pool keeps a conservative lower
+//! bound on its next idle expiry ([`WarmPool::next_expiry_ms`]), and
+//! [`WarmPool::reap`] returns without touching a slot while `now_ms` is
+//! below it. Slots are scanned only when an instance can really have
+//! expired, on warm reuse, and on eviction/retirement/finalization. The
+//! skip changes no result: expiry keeps the exact predicate
+//! `now − release > ttl`, so expirations and wasted time accrue in the same
+//! order as a scan on every call.
 
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +74,9 @@ pub struct WarmPool {
     evictions: usize,
     expirations: usize,
     wasted_idle_ms: f64,
+    /// Lower bound on `last_release_ms + ttl_ms` over idle slots: no idle
+    /// slot can expire at a `now_ms` below it (see [`WarmPool::reap`]).
+    next_expiry_ms: f64,
 }
 
 /// Identifies an acquired instance until [`WarmPool::complete`] is called.
@@ -73,6 +88,7 @@ impl WarmPool {
     pub fn new(idle_ttl_ms: f64) -> Self {
         WarmPool {
             idle_ttl_ms,
+            next_expiry_ms: f64::INFINITY,
             ..WarmPool::default()
         }
     }
@@ -87,6 +103,7 @@ impl WarmPool {
         WarmPool {
             idle_ttl_ms,
             capacity: Some(capacity),
+            next_expiry_ms: f64::INFINITY,
             ..WarmPool::default()
         }
     }
@@ -97,16 +114,46 @@ impl WarmPool {
     }
 
     /// Reclaims instances whose keep-alive window elapsed before `now_ms`,
-    /// accruing their idle tail as wasted time.
+    /// accruing their idle tail as wasted time. O(1) while `now_ms` is
+    /// below [`WarmPool::next_expiry_ms`]; otherwise one scan of the slots.
     pub fn reap(&mut self, now_ms: f64) {
+        // Sound skip: rounding is monotone and `now_ms`/`ttl_ms` are
+        // representable, so `now − release > ttl` (in f64) implies
+        // `now ≥ release + ttl` (in f64) ≥ the bound.
+        if now_ms < self.next_expiry_ms {
+            return;
+        }
+        self.reap_scan(now_ms);
+    }
+
+    /// The full scan behind [`WarmPool::reap`]: expires every idle slot
+    /// past its keep-alive window (in slot order) and recomputes the exact
+    /// expiry bound over the survivors.
+    fn reap_scan(&mut self, now_ms: f64) {
+        let mut next = f64::INFINITY;
         for slot in &mut self.slots {
-            if slot.is_idle() && now_ms - slot.last_release_ms > slot.ttl_ms {
+            if !slot.is_idle() {
+                continue;
+            }
+            if now_ms - slot.last_release_ms > slot.ttl_ms {
                 slot.dead = true;
                 self.live -= 1;
                 self.expirations += 1;
                 self.wasted_idle_ms += slot.ttl_ms;
+            } else {
+                next = next.min(slot.last_release_ms + slot.ttl_ms);
             }
         }
+        self.next_expiry_ms = next;
+    }
+
+    /// A lower bound on when the next idle instance can expire: [`reap`]
+    /// at any `now_ms` below it reclaims nothing. `f64::INFINITY` when no
+    /// idle instance can expire.
+    ///
+    /// [`reap`]: WarmPool::reap
+    pub fn next_expiry_ms(&self) -> f64 {
+        self.next_expiry_ms
     }
 
     /// Acquires an instance for an invocation arriving at `at_ms`, or
@@ -116,12 +163,15 @@ impl WarmPool {
     pub fn try_begin(&mut self, at_ms: f64) -> Option<(InstanceId, bool)> {
         self.reap(at_ms);
         // Reuse the most recently released warm instance (LIFO, like Lambda).
+        // With nothing idle there is no slot worth scanning.
         let mut best: Option<usize> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.is_idle() && slot.busy_until_ms <= at_ms {
-                match best {
-                    Some(b) if self.slots[b].last_release_ms >= slot.last_release_ms => {}
-                    _ => best = Some(i),
+        if self.idle() > 0 {
+            for (i, slot) in self.slots.iter().enumerate() {
+                if slot.is_idle() && slot.busy_until_ms <= at_ms {
+                    match best {
+                        Some(b) if self.slots[b].last_release_ms >= slot.last_release_ms => {}
+                        _ => best = Some(i),
+                    }
                 }
             }
         }
@@ -188,6 +238,8 @@ impl WarmPool {
             slot.dead = true;
             self.live -= 1;
             self.expirations += 1;
+        } else {
+            self.next_expiry_ms = self.next_expiry_ms.min(finish_ms + ttl_ms);
         }
     }
 
@@ -234,6 +286,7 @@ impl WarmPool {
                 reclaimed += 1;
             }
         }
+        self.next_expiry_ms = f64::INFINITY;
         reclaimed
     }
 
@@ -260,6 +313,7 @@ impl WarmPool {
                 self.wasted_idle_ms += (end_ms - slot.last_release_ms).clamp(0.0, slot.ttl_ms);
             }
         }
+        self.next_expiry_ms = f64::INFINITY;
     }
 
     /// Number of instances ever provisioned.
@@ -273,6 +327,30 @@ impl WarmPool {
         self.live
     }
 
+    /// Number of live (warm or busy) instances as of the last reap —
+    /// no reaping, O(1).
+    pub fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Number of idle (warm, not busy) instances as of the last reap — no
+    /// reaping, O(1).
+    pub fn idle(&self) -> usize {
+        self.live - self.busy
+    }
+
+    /// `(live, idle)` instance counts recounted from the slots themselves,
+    /// without reaping — the O(slots) reference that the O(1)
+    /// [`WarmPool::live`]/[`WarmPool::idle`] counters must always equal.
+    pub fn scan_live_idle(&self) -> (usize, usize) {
+        self.slots
+            .iter()
+            .filter(|s| !s.dead)
+            .fold((0, 0), |(live, idle), s| {
+                (live + 1, idle + usize::from(!s.is_busy()))
+            })
+    }
+
     /// Number of instances currently executing an invocation.
     pub fn in_flight(&self) -> usize {
         self.busy
@@ -281,7 +359,7 @@ impl WarmPool {
     /// Number of warm instances available for reuse at `now_ms`.
     pub fn warm_idle_at(&mut self, now_ms: f64) -> usize {
         self.reap(now_ms);
-        self.slots.iter().filter(|s| s.is_idle()).count()
+        self.idle()
     }
 
     /// Instances evicted to reclaim memory (capacity pressure).
@@ -305,6 +383,7 @@ impl WarmPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn warm_pool_reuses_instances() {
@@ -448,5 +527,98 @@ mod tests {
         pool.complete(b, 30.0);
         assert_eq!(pool.live_at(5_000.0), 0);
         assert_eq!(pool.expirations(), 2);
+    }
+
+    /// One random pool operation: (kind, time gap, which in-flight instance
+    /// to complete, TTL choice, run time until that completion's release).
+    type Step = (usize, f64, f64, usize, f64);
+
+    /// Applies `step` at `now_ms`. With `always_scan`, every operation that
+    /// reaps first runs the full slot scan — the reference semantics of
+    /// `reap` without its skip.
+    fn apply(
+        pool: &mut WarmPool,
+        busy: &mut Vec<InstanceId>,
+        always_scan: bool,
+        now_ms: f64,
+        (op, _, pick, ttl_idx, run_ms): Step,
+    ) -> (Option<(InstanceId, bool)>, usize) {
+        let completes = matches!(op, 2 | 3) && !busy.is_empty();
+        if always_scan && !completes {
+            pool.reap_scan(now_ms);
+        }
+        match op {
+            0 | 1 => {
+                let started = pool.try_begin(now_ms);
+                if let Some((id, _)) = started {
+                    busy.push(id);
+                }
+                (started, 0)
+            }
+            2 | 3 if !busy.is_empty() => {
+                let i = ((busy.len() as f64 * pick) as usize).min(busy.len() - 1);
+                let id = busy.swap_remove(i);
+                let ttl_ms = [0.0, 0.1, 150.0, 700.0, 2_500.0][ttl_idx];
+                // A finish ahead of later arrivals, as the measurement
+                // harness produces.
+                pool.complete_with_ttl(id, now_ms + run_ms, ttl_ms);
+                (None, 0)
+            }
+            4 => (None, usize::from(pool.evict_lru_idle(now_ms))),
+            5 => (None, pool.retire_idle(now_ms)),
+            6 => {
+                let oldest = pool.oldest_idle_release_ms(now_ms);
+                (None, oldest.map_or(0, |t| t.to_bits() as usize))
+            }
+            _ => (None, pool.warm_idle_at(now_ms)),
+        }
+    }
+
+    proptest! {
+        /// The O(1) fast path of `reap` is invisible: a pool that skips
+        /// reaping below its expiry bound behaves exactly like one whose
+        /// every reap scans all slots — same instances, same cold starts,
+        /// same expirations and live counts, and wasted time equal to the
+        /// bit.
+        #[test]
+        fn fast_reap_matches_an_always_scanning_reap(
+            ops in proptest::collection::vec(
+                (0usize..9, 0.0f64..400.0, 0.0f64..1.0, 0usize..5, 0.0f64..300.0),
+                1..160,
+            ),
+            capacity in 0usize..6,
+        ) {
+            let mut fast = match capacity {
+                0 => WarmPool::new(700.0),
+                cap => WarmPool::with_capacity(700.0, cap),
+            };
+            let mut scan = fast.clone();
+            let (mut fast_busy, mut scan_busy) = (Vec::new(), Vec::new());
+            let mut now = 0.0;
+            for step in ops {
+                now += step.1;
+                let a = apply(&mut fast, &mut fast_busy, false, now, step);
+                let b = apply(&mut scan, &mut scan_busy, true, now, step);
+                prop_assert_eq!(a, b);
+                prop_assert_eq!(fast.live(), scan.live());
+                prop_assert_eq!(fast.idle(), scan.idle());
+                prop_assert_eq!(fast.expirations(), scan.expirations());
+                prop_assert_eq!(fast.evictions(), scan.evictions());
+                prop_assert_eq!(fast.wasted_idle_ms().to_bits(), scan.wasted_idle_ms().to_bits());
+                prop_assert_eq!(fast.scan_live_idle(), (fast.live(), fast.idle()));
+                // A lone reap from the same state agrees too.
+                let (mut a, mut b) = (fast.clone(), fast.clone());
+                a.reap(now);
+                b.reap_scan(now);
+                prop_assert_eq!(a.expirations(), b.expirations());
+                prop_assert_eq!(a.live(), b.live());
+                prop_assert_eq!(a.wasted_idle_ms().to_bits(), b.wasted_idle_ms().to_bits());
+                prop_assert!(a.next_expiry_ms() <= b.next_expiry_ms());
+            }
+            fast.finalize(now + 1_000.0);
+            scan.finalize(now + 1_000.0);
+            prop_assert_eq!(fast.wasted_idle_ms().to_bits(), scan.wasted_idle_ms().to_bits());
+            prop_assert_eq!(fast.expirations(), scan.expirations());
+        }
     }
 }

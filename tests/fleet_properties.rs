@@ -4,17 +4,20 @@
 //! the fleet re-asserts after *every* simulation event that
 //!
 //! * host memory capacity is never exceeded,
-//! * per-function and account concurrency limits are never exceeded, and
-//! * `throttled + completed + in_flight == submitted` (conservation);
+//! * per-function and account concurrency limits are never exceeded,
+//! * `throttled + completed + in_flight == submitted` (conservation), and
+//! * every host's O(1) memory ledger equals a full recount of its pool
+//!   slots;
 //!
 //! a violation panics inside the run and fails the property. The final
 //! report is then checked for end-state consistency.
 
 use proptest::prelude::*;
+use sizeless::engine::{QueueKind, Simulation};
 use sizeless::fleet::{
     run_fleet, FleetArrival, FleetConfig, FleetFunction, KeepAliveKind, SchedulerKind,
 };
-use sizeless::fleet::{run_faulted_fleet, FaultPlan, RetryKind};
+use sizeless::fleet::{run_faulted_fleet, FaultPlan, Fleet, FleetSim, RetryKind};
 use sizeless::platform::{FunctionConfig, MemorySize, Platform, ResourceProfile, Stage};
 use sizeless::workload::{ArrivalProcess, BurstyArrival};
 
@@ -268,4 +271,72 @@ proptest! {
         );
         prop_assert_eq!(run(), run());
     }
+}
+
+/// Conservation and the memory-ledger oracle hold at the fleet scale the
+/// docs claim, not just at a few functions: 1,000 functions on 64 cramped
+/// hosts (constant eviction pressure) with a stochastic crash process,
+/// transient faults and backoff retries, checked after every event.
+#[test]
+fn faulted_fleet_conserves_at_a_thousand_functions() {
+    let platform = Platform::aws_like();
+    let functions: Vec<FleetFunction> = (0..1_000)
+        .map(|i| {
+            FleetFunction::new(
+                FunctionConfig::new(
+                    ResourceProfile::builder(format!("scale-{i}"))
+                        .stage(Stage::cpu("work", 5.0 + (i % 7) as f64 * 10.0))
+                        .build(),
+                    MemorySize::STANDARD[i % MemorySize::STANDARD.len()],
+                ),
+                FleetArrival::Steady(ArrivalProcess::poisson(0.2 + (i % 5) as f64 * 0.3)),
+            )
+        })
+        .collect();
+    let config = FleetConfig::new(64, 2048.0, 3_000.0, 11).with_invariant_checks();
+    let plan = FaultPlan::none()
+        .with_crash_process(20_000.0, 800.0)
+        .with_transient(0.05, 0.05, 0.5)
+        .with_seed(3);
+    let retry = RetryKind::ExponentialBackoff {
+        base_ms: 50.0,
+        factor: 2.0,
+        cap_ms: 400.0,
+        max_attempts: 3,
+        jitter_frac: 0.5,
+        budget_per_fn: None,
+    };
+    let default_ttl = platform.cold_start_model().idle_ttl_ms;
+    let mut fleet = Fleet::new(
+        &platform,
+        &config,
+        &functions,
+        SchedulerKind::WarmFirst.build(),
+        KeepAliveKind::Adaptive.build(functions.len(), default_ttl),
+    )
+    .with_faults(&plan)
+    .with_retries(retry);
+    let mut sim: FleetSim<_> = Simulation::with_queue(QueueKind::calendar(), 0);
+    fleet.prime(&mut sim);
+    sim.run_to_completion(&mut fleet);
+    // One more explicit pass after the last event: conservation plus every
+    // host's ledger against its slot recount.
+    fleet.assert_invariants(sim.now().as_millis());
+    let report = fleet.into_report(&sim);
+
+    let c = &report.counters;
+    assert!(c.is_conserved(), "{c:?}");
+    assert_eq!(c.in_flight, 0);
+    assert_eq!(c.submitted, c.completed + c.failed + c.throttled());
+    assert!(
+        c.submitted > 2_000,
+        "the scale run must carry real traffic: {c:?}"
+    );
+    let faults = report.faults.expect("fault plans report a summary");
+    assert!(
+        faults.host_crashes > 0,
+        "the crash process must fire: {faults:?}"
+    );
+    assert!(c.failed_attempts > 0 && c.retries_scheduled > 0, "{c:?}");
+    assert!(report.evictions > 0, "cramped hosts must evict");
 }
