@@ -75,9 +75,7 @@ use crate::trainer::TrainedSizer;
 use control::PlaneHandle;
 use serde::{Deserialize, Serialize};
 use sizeless_platform::MemorySize;
-use sizeless_telemetry::{
-    InvocationSample, Metric, MetricStore, MetricVector, SampleBatch, StreamingWindow,
-};
+use sizeless_telemetry::{InvocationSample, Metric, MetricStore, MetricVector, StreamingWindow};
 
 /// A memory-size recommendation for one monitored function.
 ///
@@ -217,11 +215,6 @@ struct FnState {
     current: MemorySize,
     phase: FnPhase,
     window: StreamingWindow,
-    /// Accepted samples buffered ahead of the window; flushed (in push
-    /// order — bit-identical to direct pushes) when the combined fill
-    /// reaches the decision boundary. Safe because every phase/size
-    /// transition happens at a full window, when this buffer is empty.
-    pending: SampleBatch,
     reference: MetricStore,
     recommendation: Option<Recommendation>,
     /// Aggregate of the last base-size window a recommendation consumed —
@@ -242,7 +235,6 @@ impl FnState {
             current: base,
             phase: FnPhase::Measuring,
             window: StreamingWindow::new(window),
-            pending: SampleBatch::new(),
             reference: MetricStore::new(),
             recommendation: None,
             last_measurement: None,
@@ -462,12 +454,11 @@ impl SizingService {
             self.stats.stale_samples_ignored += 1;
             return None;
         }
-        state.pending.push(sample);
+        state.window.push(sample);
         self.stats.samples_ingested += 1;
-        if state.window.len() + state.pending.len() < self.config.window {
+        if state.window.len() < self.config.window {
             return None;
         }
-        state.pending.flush_into(&mut state.window);
 
         match state.phase {
             FnPhase::Measuring | FnPhase::Shadowing => {

@@ -40,8 +40,8 @@ use sizeless_obs::{
 };
 use sizeless_platform::{FunctionConfig, MemorySize, Platform, ResourceProfile};
 use sizeless_telemetry::{
-    CompletionTally, FleetCounters, FleetMetrics, InvocationSample, ResourceMonitor,
-    RightsizingCounters, RightsizingMetrics, SimRunStats, TallyBatch,
+    FleetCounters, FleetMetrics, InvocationSample, ResourceMonitor, RightsizingCounters,
+    RightsizingMetrics, SimRunStats,
 };
 use sizeless_workload::{ArrivalProcess, BurstyArrival, BurstySampler};
 
@@ -165,7 +165,9 @@ fn resize_cause(r: DirectiveReason) -> ResizeCause {
 
 /// The fleet's metrics instrumentation: a registry plus pre-registered
 /// handles so hot-path updates are plain indexed increments (no name
-/// lookups, no allocation).
+/// lookups, no allocation). Every counter and the `init_ms` histogram are
+/// a fold of the trace stream ([`FleetObs::fold`]); only the completion
+/// histograms are fed directly, as no completion event exists.
 struct FleetObs {
     registry: MetricsRegistry,
     dispatches: CounterId,
@@ -201,6 +203,32 @@ impl FleetObs {
             exec_ms: registry.histogram("exec_ms"),
             init_ms: registry.histogram("init_ms"),
             registry,
+        }
+    }
+
+    /// Folds one emitted event into the registry.
+    fn fold(&mut self, event: &TraceEvent) {
+        let r = &mut self.registry;
+        match *event {
+            TraceEvent::Dispatch { .. } => r.inc(self.dispatches),
+            TraceEvent::ColdStart { init_ms, .. } => {
+                r.inc(self.cold_starts);
+                r.observe(self.init_ms, init_ms);
+            }
+            TraceEvent::Eviction { evicted, .. } => r.add(self.evictions, u64::from(evicted)),
+            TraceEvent::Throttle { .. } => r.inc(self.throttles),
+            TraceEvent::Resize { .. } => r.inc(self.resizes),
+            TraceEvent::DriftDetected { .. } => r.inc(self.drift_detections),
+            TraceEvent::ShadowRoute { .. } => r.inc(self.shadow_routes),
+            TraceEvent::HostDown { .. } => r.inc(self.host_crashes),
+            TraceEvent::InvocationFailed { .. } => r.inc(self.invocation_failures),
+            TraceEvent::RetryScheduled { .. } => r.inc(self.retries),
+            TraceEvent::PhaseTransition { .. }
+            | TraceEvent::ArtifactUpdate { .. }
+            | TraceEvent::RegionHandoff { .. }
+            | TraceEvent::RegionFailover { .. }
+            | TraceEvent::HostUp { .. }
+            | TraceEvent::DriftSuppressed { .. } => {}
         }
     }
 }
@@ -428,10 +456,6 @@ pub struct Fleet<S: TraceSink = NullSink> {
     keepalive: Box<dyn KeepAlivePolicy>,
     limits: ConcurrencyLimits,
     counters: FleetCounters,
-    /// Buffered completion tallies, flushed into `counters` in batches
-    /// (bit-identically to direct per-completion updates — see
-    /// [`TallyBatch`]). Flushed before every invariant check and report.
-    tallies: TallyBatch,
     max_latency_ms: f64,
     duration_ms: f64,
     default_ttl_ms: f64,
@@ -501,7 +525,6 @@ impl Fleet {
                 config.account_limit,
             ),
             counters: FleetCounters::default(),
-            tallies: TallyBatch::new(),
             max_latency_ms: 0.0,
             duration_ms: config.duration_ms,
             default_ttl_ms: platform.cold_start_model().idle_ttl_ms,
@@ -538,7 +561,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
             keepalive: self.keepalive,
             limits: self.limits,
             counters: self.counters,
-            tallies: self.tallies,
             max_latency_ms: self.max_latency_ms,
             duration_ms: self.duration_ms,
             default_ttl_ms: self.default_ttl_ms,
@@ -565,17 +587,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     pub fn with_metrics(mut self) -> Self {
         self.obs = Some(FleetObs::new());
         self
-    }
-
-    /// The trace sink (e.g. to export a collected trace).
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Mutable access to the trace sink — external drivers record
-    /// cross-fleet events (e.g. region handoffs) through this.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// The metrics registry, when enabled with [`Fleet::with_metrics`].
@@ -668,12 +679,15 @@ impl<S: TraceSink + 'static> Fleet<S> {
         }
     }
 
-    /// Records a throttle rejection into the trace and metrics layers.
-    fn trace_throttle(&mut self, now_ms: f64, fn_id: usize, cause: ThrottleCause) {
-        self.sink.record(now_ms, TraceEvent::Throttle { fn_id: fn_id as u32, cause });
+    /// Reports one fleet event: folds it into the metrics registry (when
+    /// [`Fleet::with_metrics`] is on), then records it into the trace sink.
+    /// Every fleet event site, and the multi-region driver's cross-fleet
+    /// events, report through here.
+    pub(crate) fn emit(&mut self, now_ms: f64, event: TraceEvent) {
         if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.throttles);
+            o.fold(&event);
         }
+        self.sink.record(now_ms, event);
     }
 
     /// Handles one request for `fn_id` arriving at `now_ms`.
@@ -694,12 +708,18 @@ impl<S: TraceSink + 'static> Fleet<S> {
             Ok(()) => {}
             Err(ThrottleReason::FunctionLimit) => {
                 self.counters.throttled_function += 1;
-                self.trace_throttle(now_ms, fn_id, ThrottleCause::Function);
+                self.emit(
+                    now_ms,
+                    TraceEvent::Throttle { fn_id: fn_id as u32, cause: ThrottleCause::Function },
+                );
                 return;
             }
             Err(ThrottleReason::AccountLimit) => {
                 self.counters.throttled_account += 1;
-                self.trace_throttle(now_ms, fn_id, ThrottleCause::Account);
+                self.emit(
+                    now_ms,
+                    TraceEvent::Throttle { fn_id: fn_id as u32, cause: ThrottleCause::Account },
+                );
                 return;
             }
             Err(ThrottleReason::CapacityExhausted) => {
@@ -733,13 +753,10 @@ impl<S: TraceSink + 'static> Fleet<S> {
             None => (deployed, fn_id),
         };
         if pool != fn_id {
-            self.sink.record(
+            self.emit(
                 now_ms,
                 TraceEvent::ShadowRoute { fn_id: fn_id as u32, base_mb: memory.mb() },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.shadow_routes);
-            }
         }
         let mem_mb = f64::from(memory.mb());
         let selected =
@@ -763,19 +780,19 @@ impl<S: TraceSink + 'static> Fleet<S> {
             if attempt > 1 {
                 self.counters.in_flight -= 1;
             }
-            self.trace_throttle(now_ms, fn_id, ThrottleCause::Capacity);
+            self.emit(
+                now_ms,
+                TraceEvent::Throttle { fn_id: fn_id as u32, cause: ThrottleCause::Capacity },
+            );
             return;
         };
         if evicted > 0 {
-            self.sink.record(
+            self.emit(
                 now_ms,
                 TraceEvent::Eviction { host: host as u32, evicted: evicted as u32 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.add(o.evictions, evicted as u64);
-            }
         }
-        self.sink.record(
+        self.emit(
             now_ms,
             TraceEvent::Dispatch {
                 fn_id: fn_id as u32,
@@ -785,9 +802,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 shadow: pool != fn_id,
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.dispatches);
-        }
         if pool != fn_id {
             // Count only shadow invocations that actually started — a
             // throttled shadow route burned its period slot but produced
@@ -823,7 +837,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
         }
         if cold {
             self.counters.cold_starts += 1;
-            self.sink.record(
+            self.emit(
                 now_ms,
                 TraceEvent::ColdStart {
                     fn_id: fn_id as u32,
@@ -832,10 +846,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                     init_ms: record.init_ms,
                 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.cold_starts);
-                o.registry.observe(o.init_ms, record.init_ms);
-            }
             // Shadow invocations cold-start at the *base* size; feeding
             // their init times to the keep-alive observer would skew the
             // function's TTL sizing toward a pool it only uses transiently.
@@ -948,7 +958,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
     fn fail_attempt(&mut self, sim: &mut FleetSim<S>, done: Completion, cause: FaultKind) {
         let now_ms = sim.now().as_millis();
         self.counters.failed_attempts += 1;
-        self.sink.record(
+        self.emit(
             now_ms,
             TraceEvent::InvocationFailed {
                 fn_id: done.fn_id as u32,
@@ -957,9 +967,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 cause,
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.invocation_failures);
-        }
         let next = done.attempt + 1;
         let backoff = match self.retry.as_mut() {
             Some(r) => r.policy.backoff_ms(done.fn_id, next, &mut r.rng),
@@ -970,7 +977,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
             let r = self.retry.as_mut().expect("backoff implies a retry policy");
             r.pending += 1;
             self.counters.retries_scheduled += 1;
-            self.sink.record(
+            self.emit(
                 now_ms,
                 TraceEvent::RetryScheduled {
                     fn_id: done.fn_id as u32,
@@ -978,9 +985,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                     delay_ms,
                 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.retries);
-            }
             sim.schedule_event_at(
                 SimTime::from_millis(now_ms + delay_ms),
                 FleetEvent::Retry { fn_id: done.fn_id as u32, attempt: next as u32 },
@@ -1026,7 +1030,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
             // read as workload drift.
             f.mask_until_ms = f.mask_until_ms.max(now_ms + down_ms + recovery_ms + f.mask_pad_ms);
         }
-        self.sink.record(
+        self.emit(
             now_ms,
             TraceEvent::HostDown {
                 host: host as u32,
@@ -1034,9 +1038,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                 lost_warm: lost_warm as u32,
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.host_crashes);
-        }
         sim.schedule_event_at(
             SimTime::from_millis(now_ms + down_ms),
             FleetEvent::HostRejoin { host: host as u32 },
@@ -1058,7 +1059,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
         if let Some(r) = f.recovery {
             f.recovering_until[host] = now_ms + r.recovery_ms;
         }
-        self.sink.record(now_ms, TraceEvent::HostUp { host: host as u32, down_ms });
+        self.emit(now_ms, TraceEvent::HostUp { host: host as u32, down_ms });
     }
 
     /// Begins a region-wide outage: every available host crashes and new
@@ -1079,7 +1080,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
             f.summary.host_crashes += 1;
             f.summary.failed_in_flight += lost_in_flight;
             f.summary.lost_warm += lost_warm;
-            self.sink.record(
+            self.emit(
                 now_ms,
                 TraceEvent::HostDown {
                     host: host as u32,
@@ -1087,9 +1088,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
                     lost_warm: lost_warm as u32,
                 },
             );
-            if let Some(o) = self.obs.as_mut() {
-                o.registry.inc(o.host_crashes);
-            }
         }
         // lint: allow(panic002) reason="outage events are only scheduled when a fault plan is installed"
         let f = self.faults.as_mut().expect("outage events imply faults");
@@ -1120,7 +1118,7 @@ impl<S: TraceSink + 'static> Fleet<S> {
             if f.recovery.is_some() {
                 f.recovering_until[host] = now_ms + recovery_ms;
             }
-            self.sink.record(now_ms, TraceEvent::HostUp { host: host as u32, down_ms });
+            self.emit(now_ms, TraceEvent::HostUp { host: host as u32, down_ms });
         }
     }
 
@@ -1157,7 +1155,10 @@ impl<S: TraceSink + 'static> Fleet<S> {
         self.counters.submitted += 1;
         self.keepalive.observe_arrival(fn_id, now_ms);
         self.counters.throttled_capacity += 1;
-        self.trace_throttle(now_ms, fn_id, ThrottleCause::Capacity);
+        self.emit(
+            now_ms,
+            TraceEvent::Throttle { fn_id: fn_id as u32, cause: ThrottleCause::Capacity },
+        );
     }
 
     fn on_complete(
@@ -1171,18 +1172,13 @@ impl<S: TraceSink + 'static> Fleet<S> {
         self.hosts[done.host].complete(done.pool, done.placement, now_ms, ttl, done.occupancy_ms);
         self.limits.release(done.fn_id);
         let exec_mb_ms = done.exec_ms * f64::from(done.memory.mb());
-        // Buffer the counter deltas instead of scattering six
-        // read-modify-writes into the counters per completion; the flush
-        // replays them in order, so the sums are bit-identical.
-        let full = self.tallies.push(CompletionTally {
-            attempt: done.attempt,
-            latency_ms: done.latency_ms,
-            cost_usd: done.cost_usd,
-            exec_mb_ms,
-        });
-        if full {
-            self.tallies.flush_into(&mut self.counters);
-        }
+        let c = &mut self.counters;
+        c.exec_mb_ms += exec_mb_ms;
+        c.in_flight -= 1;
+        c.completed += 1;
+        c.sum_attempts_completed += done.attempt;
+        c.sum_latency_ms += done.latency_ms;
+        c.sum_cost_usd += done.cost_usd;
         self.max_latency_ms = self.max_latency_ms.max(done.latency_ms);
         if let Some(o) = self.obs.as_mut() {
             o.registry.observe(o.latency_ms, done.latency_ms);
@@ -1197,6 +1193,9 @@ impl<S: TraceSink + 'static> Fleet<S> {
             .as_ref()
             .is_some_and(|f| f.drift_mask && now_ms < f.mask_until_ms);
         let mut directive = None;
+        // The sizing loop's events are collected here and emitted after the
+        // ingest, because `emit` borrows the whole fleet.
+        let mut loop_events = [None; 4];
         if let Some(sizing) = &mut self.sizing {
             let c = &mut sizing.counters;
             if done.memory == sizing.original[done.fn_id] {
@@ -1226,35 +1225,28 @@ impl<S: TraceSink + 'static> Fleet<S> {
             let suppressed_before = sizing.service.stats().drift_suppressed_by_fault;
             let artifacts_before = sizing.service.plane_stats().artifact_updates;
             directive = sizing.service.ingest_masked(done.fn_id, done.memory, sample, fault_masked);
-            if sizing.service.stats().drift_detections > drift_before {
-                self.sink.record(now_ms, TraceEvent::DriftDetected { fn_id: done.fn_id as u32 });
-                if let Some(o) = self.obs.as_mut() {
-                    o.registry.inc(o.drift_detections);
-                }
-            }
-            if sizing.service.stats().drift_suppressed_by_fault > suppressed_before {
-                self.sink.record(now_ms, TraceEvent::DriftSuppressed { fn_id: done.fn_id as u32 });
-            }
-            let phase_after = sizing.service.phase(done.fn_id);
-            if let (Some(from), Some(to)) = (phase_before, phase_after) {
-                if from != to {
-                    self.sink.record(
-                        now_ms,
-                        TraceEvent::PhaseTransition {
-                            fn_id: done.fn_id as u32,
-                            from: loop_phase(from),
-                            to: loop_phase(to),
-                        },
-                    );
-                }
-            }
-            let artifacts_after = sizing.service.plane_stats().artifact_updates;
-            if artifacts_after > artifacts_before {
-                self.sink.record(
-                    now_ms,
-                    TraceEvent::ArtifactUpdate { updates: artifacts_after as u64 },
-                );
-            }
+            let fn_id = done.fn_id as u32;
+            let stats = sizing.service.stats();
+            let transition = match (phase_before, sizing.service.phase(done.fn_id)) {
+                (Some(from), Some(to)) if from != to => Some(TraceEvent::PhaseTransition {
+                    fn_id,
+                    from: loop_phase(from),
+                    to: loop_phase(to),
+                }),
+                _ => None,
+            };
+            let updates = sizing.service.plane_stats().artifact_updates;
+            loop_events = [
+                (stats.drift_detections > drift_before).then_some(TraceEvent::DriftDetected { fn_id }),
+                (stats.drift_suppressed_by_fault > suppressed_before)
+                    .then_some(TraceEvent::DriftSuppressed { fn_id }),
+                transition,
+                (updates > artifacts_before)
+                    .then_some(TraceEvent::ArtifactUpdate { updates: updates as u64 }),
+            ];
+        }
+        for event in loop_events.into_iter().flatten() {
+            self.emit(now_ms, event);
         }
         if let Some(d) = directive {
             self.apply_directive(d, now_ms);
@@ -1274,8 +1266,8 @@ impl<S: TraceSink + 'static> Fleet<S> {
             DirectiveReason::Drift => sizing.counters.drift_reverts += 1,
             DirectiveReason::Calibrate => {}
         }
-        let config = &self.functions[d.fn_id].config;
-        if config.memory() == d.target {
+        let from = self.functions[d.fn_id].config.memory();
+        if from == d.target {
             return;
         }
         sizing.counters.resizes_applied += 1;
@@ -1285,19 +1277,17 @@ impl<S: TraceSink + 'static> Fleet<S> {
         if d.reason == DirectiveReason::Recommend && sizing.counters.first_resize_at_ms.is_none() {
             sizing.counters.first_resize_at_ms = Some(now_ms);
         }
-        self.sink.record(
+        self.emit(
             now_ms,
             TraceEvent::Resize {
                 fn_id: d.fn_id as u32,
-                from_mb: config.memory().mb(),
+                from_mb: from.mb(),
                 to_mb: d.target.mb(),
                 cause: resize_cause(d.reason),
             },
         );
-        if let Some(o) = self.obs.as_mut() {
-            o.registry.inc(o.resizes);
-        }
-        self.functions[d.fn_id].config = config.with_memory(d.target);
+        let config = &mut self.functions[d.fn_id].config;
+        *config = config.with_memory(d.target);
         let mem_mb = f64::from(d.target.mb());
         for host in &mut self.hosts {
             host.resize(d.fn_id, mem_mb, self.default_ttl_ms, now_ms);
@@ -1358,9 +1348,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     ///
     /// Panics on any violation.
     pub fn assert_invariants(&mut self, now_ms: f64) {
-        // The ledgers are only exact at batch boundaries — settle pending
-        // completion tallies before reading the counters.
-        self.tallies.flush_into(&mut self.counters);
         assert!(
             self.counters.is_conserved(),
             "conservation violated: {:?}",
@@ -1478,7 +1465,6 @@ impl<S: TraceSink + 'static> Fleet<S> {
     /// caller for export.
     pub fn into_report_and_sink(mut self, sim: &FleetSim<S>) -> (FleetReport, S) {
         let horizon_ms = sim.now().as_millis().max(self.duration_ms);
-        self.tallies.flush_into(&mut self.counters);
 
         for host in &mut self.hosts {
             host.finalize(horizon_ms);
@@ -1927,6 +1913,70 @@ mod tests {
         assert_eq!(latency_count as usize, report.counters.completed);
         assert!((latency_max - report.max_latency_ms).abs() < 1e-12);
         assert!(snapshot.contains("\"latency_ms\""), "{snapshot}");
+
+        // The registry is a fold of the trace stream: on a traced closed
+        // loop with transient faults, crashes and retries, every counter
+        // equals its fold over the recorded events.
+        use sizeless_obs::MemorySink;
+        let plan = FaultPlan::none()
+            .with_transient(0.05, 0.1, 0.5)
+            .with_crash(1, 6_000.0, 1_500.0)
+            .with_crash_process(15_000.0, 800.0)
+            .with_seed(7);
+        let mut fleet = Fleet::new(
+            &platform,
+            &FleetConfig::new(2, 1024.0, 25_000.0, 5),
+            &closed_loop_functions(),
+            SchedulerKind::WarmFirst.build(),
+            KeepAliveKind::FixedTtl.build(2, platform.cold_start_model().idle_ttl_ms),
+        )
+        .with_sizing(quick_service(60))
+        .with_faults(&plan)
+        .with_retries(RetryKind::Fixed { max_attempts: 3, delay_ms: 100.0 })
+        .with_metrics()
+        .with_trace(MemorySink::new());
+        let mut sim = Simulation::new();
+        fleet.prime(&mut sim);
+        sim.run_to_completion(&mut fleet);
+        let reg = fleet.metrics().expect("metrics enabled").clone();
+        let snapshot = reg.snapshot_json(sim.now().as_millis());
+        let (_, sink) = fleet.into_report_and_sink(&sim);
+        let events = sink.records();
+        let count = |kind: &str| events.iter().filter(|r| r.event.kind() == kind).count() as u64;
+        let evicted: u64 = events
+            .iter()
+            .map(|r| match r.event {
+                TraceEvent::Eviction { evicted, .. } => u64::from(evicted),
+                _ => 0,
+            })
+            .sum();
+        let folds = [
+            ("dispatches", count("dispatch")),
+            ("cold_starts", count("cold_start")),
+            ("throttles", count("throttle")),
+            ("evictions", evicted),
+            ("resizes_applied", count("resize")),
+            ("shadow_routes", count("shadow_route")),
+            ("drift_detections", count("drift_detected")),
+            ("invocation_failures", count("invocation_failed")),
+            ("retries_scheduled", count("retry_scheduled")),
+            ("host_crashes", count("host_down")),
+        ];
+        let parsed: serde_json::Value = serde_json::from_str(&snapshot).expect("snapshot parses");
+        let counters = parsed
+            .get("counters")
+            .and_then(serde_json::Value::as_object)
+            .expect("snapshot has counters");
+        assert_eq!(counters.iter().count(), folds.len(), "{snapshot}");
+        for (name, value) in counters.iter() {
+            let fold = folds.iter().find(|(n, _)| n == name).map(|(_, f)| *f);
+            assert_eq!(value.as_u64(), fold, "counter {name} is not its trace fold");
+        }
+        let init = reg.histogram_ref("init_ms").expect("registered");
+        assert_eq!(init.count(), count("cold_start"));
+        for kind in ["invocation_failed", "retry_scheduled", "host_down", "eviction", "throttle"] {
+            assert!(count(kind) > 0, "the run must exercise {kind}");
+        }
     }
 
     #[test]

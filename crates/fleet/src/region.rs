@@ -327,7 +327,7 @@ where
         let Some((t, i)) = next else { break };
         if let Some(prev) = last {
             if prev != i {
-                fleets[i].sink_mut().record(
+                fleets[i].emit(
                     t.as_millis(),
                     TraceEvent::RegionHandoff {
                         from_region: prev as u32,
@@ -350,7 +350,7 @@ where
                 let target = (1..n).map(|k| (i + k) % n).find(|&j| !fleets[j].in_outage());
                 match target {
                     Some(j) => {
-                        fleets[j].sink_mut().record(
+                        fleets[j].emit(
                             at_ms,
                             TraceEvent::RegionFailover {
                                 fn_id: fn_id as u32,

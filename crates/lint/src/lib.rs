@@ -21,7 +21,9 @@
 //! - **float determinism** (`float001`): `partial_cmp(..).unwrap()` where
 //!   `total_cmp` is required;
 //! - **suppression hygiene** (`lint001`–`lint003`): reasonless, stale, or
-//!   unknown-rule suppressions.
+//!   unknown-rule suppressions;
+//! - **config hygiene** (`lint004`): a `[hot] functions` entry that names no
+//!   function in the sweep.
 //!
 //! Existing, triaged sites are recorded either inline —
 //! `// lint: allow(panic002) reason="…"` — or as module/crate-scoped
@@ -53,6 +55,7 @@ pub mod scan;
 
 use config::Config;
 use scan::{FileReport, Finding};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -102,6 +105,7 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<WorkspaceRepor
     collect_rs_files(root, root, config, &mut files)?;
     files.sort();
     let mut report = WorkspaceReport::default();
+    let mut hot_defined = BTreeSet::new();
     for rel in files {
         let src = fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
@@ -109,7 +113,9 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<WorkspaceRepor
             findings,
             suppressed,
             lex_errors,
+            hot_functions_defined,
         } = scan::lint_source(&rel_str, &src, config);
+        hot_defined.extend(hot_functions_defined);
         report.files += 1;
         report.suppressed += suppressed;
         report.findings.extend(findings);
@@ -117,7 +123,27 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<WorkspaceRepor
             .lex_errors
             .extend(lex_errors.into_iter().map(|(l, m)| (rel_str.clone(), l, m)));
     }
+    report.findings.extend(unmatched_hot_functions(config, &hot_defined));
     Ok(report)
+}
+
+/// `lint004` findings for every `[hot] functions` entry outside `defined`,
+/// the entries some swept library file defines a function for. Such an
+/// entry would otherwise check nothing, silently.
+fn unmatched_hot_functions(config: &Config, defined: &BTreeSet<String>) -> Vec<Finding> {
+    config
+        .hot_functions
+        .iter()
+        .filter(|entry| !defined.contains(*entry))
+        .map(|entry| Finding {
+            rule: "lint004",
+            severity: rules::Severity::Deny,
+            path: "lint.toml".into(),
+            line: 1,
+            col: 1,
+            message: format!("[hot] functions entry `{entry}` names no function in the scanned tree"),
+        })
+        .collect()
 }
 
 fn collect_rs_files(

@@ -113,6 +113,12 @@ pub const RULES: &[RuleMeta] = &[
         severity: Severity::Deny,
         summary: "suppression names an unknown rule id",
     },
+    RuleMeta {
+        id: "lint004",
+        severity: Severity::Deny,
+        summary: "[hot] functions entry in lint.toml names no function in the scanned \
+                  tree, so it checks nothing; fix or delete it",
+    },
 ];
 
 /// Looks up a rule's metadata by id.

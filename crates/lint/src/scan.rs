@@ -50,6 +50,9 @@ pub struct FileReport {
     pub suppressed: usize,
     /// Unlexable constructs (reported as hard errors by the CLI).
     pub lex_errors: Vec<(u32, String)>,
+    /// `[hot] functions` entries that name a function defined in this
+    /// file's non-test library code. An entry no file defines is `lint004`.
+    pub hot_functions_defined: Vec<String>,
 }
 
 /// Classification of one workspace file.
@@ -130,6 +133,8 @@ struct Walker<'a> {
     frames: Vec<Frame>,
     pending: Option<Pending>,
     pending_test: bool,
+    /// Qualified names of the non-test functions with a body seen so far.
+    fns: Vec<String>,
 }
 
 impl<'a> Walker<'a> {
@@ -139,6 +144,7 @@ impl<'a> Walker<'a> {
             frames: Vec::new(),
             pending: None,
             pending_test: false,
+            fns: Vec::new(),
         }
     }
 
@@ -209,7 +215,12 @@ impl<'a> Walker<'a> {
             },
             TokenKind::Open if t.text == "{" => {
                 let kind = match self.pending.take() {
-                    Some(Pending::Fn(name)) => FrameKind::Fn(name),
+                    Some(Pending::Fn(name)) => {
+                        if !self.pending_test && !self.in_test() {
+                            self.fns.push(name.clone());
+                        }
+                        FrameKind::Fn(name)
+                    }
                     Some(Pending::Mod(name)) => FrameKind::Mod(name),
                     Some(Pending::ImplBlock(ty)) => FrameKind::ImplBlock(ty),
                     None => FrameKind::Other,
@@ -323,7 +334,17 @@ pub fn lint_source(rel_path: &str, src: &str, config: &Config) -> FileReport {
         check_token(tokens, i, &walker, &info, config, rel_path, &mut raw);
     }
 
-    filter_report(rel_path, &info, raw, &lexed.suppressions, tokens, config, lexed.errors)
+    let mut report =
+        filter_report(rel_path, &info, raw, &lexed.suppressions, tokens, config, lexed.errors);
+    if info.kind == FileKind::Lib {
+        report.hot_functions_defined = config
+            .hot_functions
+            .iter()
+            .filter(|entry| walker.fns.iter().any(|q| hot_entry_matches(entry, q)))
+            .cloned()
+            .collect();
+    }
+    report
 }
 
 const FALLBACK_META: rules::RuleMeta = rules::RuleMeta {
@@ -558,11 +579,15 @@ fn in_hot_path(walker: &Walker<'_>, info: &FileInfo, config: &Config) -> bool {
         return true;
     }
     match walker.enclosing_fn() {
-        Some(qualified) => config.hot_functions.iter().any(|f| {
-            f == qualified || Some(f.as_str()) == qualified.rsplit("::").next()
-        }),
+        Some(qualified) => config.hot_functions.iter().any(|f| hot_entry_matches(f, qualified)),
         None => false,
     }
+}
+
+/// Whether a `[hot] functions` entry (bare `name` or `Type::name`) names the
+/// function whose qualified name is `qualified`.
+fn hot_entry_matches(entry: &str, qualified: &str) -> bool {
+    entry == qualified || Some(entry) == qualified.rsplit("::").next()
 }
 
 /// Applies inline suppressions and `lint.toml` allows, and emits the

@@ -5,7 +5,10 @@
 //! `fixtures_fail.rs`.
 
 use sizeless_lint::config::{AllowEntry, Config};
+use sizeless_lint::lint_workspace;
 use sizeless_lint::scan::{lint_source, FileReport};
+use std::fs;
+use std::path::Path;
 
 /// A config with `engine` and `fleet` as simulation crates and one hot
 /// function, mirroring the shape of the real `lint.toml`.
@@ -439,6 +442,45 @@ fn suppression_only_covers_listed_rules() {
     );
     assert_eq!(rules_of(&report), vec!["panic001"], "unwrap still fires");
     assert_eq!(report.suppressed, 1);
+}
+
+// ---- lint004: [hot] functions entries that check nothing -------------
+
+#[test]
+fn lint004_unmatched_hot_function_entry_is_reported() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint004");
+    let src = root.join("crates/neural/src");
+    fs::create_dir_all(&src).unwrap();
+    // A test-only definition does not count: hot001 never checks it.
+    fs::write(
+        src.join("matrix.rs"),
+        "pub struct Matrix;\n\
+         impl Matrix {\n    pub fn matmul_into(&self) {}\n}\n\
+         pub fn transpose_into() {}\n\
+         #[cfg(test)]\n\
+         mod tests {\n    impl super::Matrix {\n        fn reset(&self) {}\n    }\n}\n",
+    )
+    .unwrap();
+    let config = Config {
+        hot_functions: vec![
+            "Matrix::matmul_into".into(),
+            "transpose_into".into(),
+            "Matrix::reset".into(),
+            "Matrix::gone".into(),
+        ],
+        ..Config::default()
+    };
+    let report = lint_workspace(&root, &config).expect("sweep succeeds");
+    let unmatched: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "lint004")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(unmatched.len(), 2, "{unmatched:?}");
+    assert!(unmatched[0].contains("`Matrix::reset`"), "{unmatched:?}");
+    assert!(unmatched[1].contains("`Matrix::gone`"), "{unmatched:?}");
+    assert_eq!(report.deny_count(), 2, "an unmatched entry fails the run");
 }
 
 // ---- crate-scoped allowlist ------------------------------------------

@@ -26,12 +26,13 @@
 //! * [`window`] — [`StreamingWindow`]: the bounded,
 //!   incrementally-maintained monitoring window of the online sizing
 //!   service, bit-identical in aggregation to the batch [`MetricVector`].
-//! * [`batch`] — buffered ingest ([`TallyBatch`]/[`SampleBatch`]): hot
-//!   paths buffer per-invocation counter and window pushes and flush them
-//!   in batches, bit-identically to the unbatched path.
+//!   The service pushes each accepted sample straight into it.
+//!
+//! Per-invocation ingest is unbuffered: the fleet updates
+//! [`FleetCounters`] and the service's window directly on every
+//! completion, so both are exact after every event.
 
 pub mod aggregate;
-pub mod batch;
 pub mod fleet;
 pub mod metric;
 pub mod monitor;
@@ -39,7 +40,6 @@ pub mod stability;
 pub mod window;
 
 pub use aggregate::{MetricAggregate, MetricVector};
-pub use batch::{CompletionTally, SampleBatch, TallyBatch};
 pub use fleet::{
     FleetCounters, FleetMetrics, RightsizingCounters, RightsizingMetrics, SimRunStats,
 };

@@ -322,6 +322,41 @@ fn closed_loop_trace_is_byte_identical_across_thread_counts() {
 fn faulted_closed_loop_is_bit_identical_across_thread_counts() {
     use sizeless::obs::MemorySink;
     let platform = Platform::aws_like();
+    let run = |threads: usize| {
+        let (report, sink) = faulted_closed_loop_fleet(&platform, threads)
+            .with_trace(MemorySink::new())
+            .run_traced();
+        (report, sink.to_jsonl())
+    };
+
+    let (serial, serial_trace) = run(1);
+    let (threaded, threaded_trace) = run(4);
+    assert_eq!(
+        serial, threaded,
+        "faulted closed-loop fleet diverged across thread counts"
+    );
+    assert_eq!(
+        serial_trace, threaded_trace,
+        "faulted trace bytes diverged across thread counts"
+    );
+    let (repeat, repeat_trace) = run(1);
+    assert_eq!(serial, repeat, "faulted run diverged across repeats");
+    assert_eq!(serial_trace, repeat_trace, "faulted trace diverged across repeats");
+
+    // The run must actually exercise the fault machinery.
+    let faults = serial.faults.expect("fault plan reports a summary");
+    assert!(faults.host_crashes > 0, "no crash ever fired");
+    assert!(serial.counters.failed_attempts > 0, "no attempt ever failed");
+    assert!(serial.counters.retries_scheduled > 0, "no retry ever scheduled");
+    assert!(serial.counters.completed > 0, "no request ever completed");
+    assert!(serial.counters.is_conserved());
+}
+
+/// A closed-loop fleet under a plan mixing a scheduled crash, a stochastic
+/// crash process, transient failures, recovery slowdowns, and
+/// exponential-backoff retries; the sizer's dataset measurement fans out
+/// over `threads` workers.
+fn faulted_closed_loop_fleet(platform: &Platform, threads: usize) -> Fleet {
     let functions = vec![
         FleetFunction::new(
             FunctionConfig::new(
@@ -350,57 +385,64 @@ fn faulted_closed_loop_is_bit_identical_across_thread_counts() {
         .with_crash_process(15_000.0, 800.0)
         .with_recovery(3_000.0, 2.5)
         .with_seed(37);
-    let run = |threads: usize| {
-        let default_ttl = platform.cold_start_model().idle_ttl_ms;
-        let fleet = Fleet::new(
-            &platform,
-            &config,
-            &functions,
-            SchedulerKind::WarmFirst.build(),
-            KeepAliveKind::Adaptive.build(functions.len(), default_ttl),
-        )
-        .with_sizing(SizingService::new(
-            sizer_with_threads(&platform, threads),
-            ServiceConfig {
-                window: 50,
-                ..ServiceConfig::default()
-            },
-        ))
-        .with_faults(&plan)
-        .with_retries(RetryKind::ExponentialBackoff {
-            base_ms: 200.0,
-            factor: 2.0,
-            cap_ms: 5_000.0,
-            max_attempts: 4,
-            jitter_frac: 0.2,
-            budget_per_fn: None,
-        })
+    let default_ttl = platform.cold_start_model().idle_ttl_ms;
+    Fleet::new(
+        platform,
+        &config,
+        &functions,
+        SchedulerKind::WarmFirst.build(),
+        KeepAliveKind::Adaptive.build(functions.len(), default_ttl),
+    )
+    .with_sizing(SizingService::new(
+        sizer_with_threads(platform, threads),
+        ServiceConfig {
+            window: 50,
+            ..ServiceConfig::default()
+        },
+    ))
+    .with_faults(&plan)
+    .with_retries(RetryKind::ExponentialBackoff {
+        base_ms: 200.0,
+        factor: 2.0,
+        cap_ms: 5_000.0,
+        max_attempts: 4,
+        jitter_frac: 0.2,
+        budget_per_fn: None,
+    })
+}
+
+/// Golden digests of one traced, metered, faulted closed-loop run: the
+/// report JSON, the JSONL trace and the metrics snapshot. Refactors of the
+/// fleet's instrumentation must leave all three byte-identical, so a digest
+/// change here means an output changed. Float formatting and libm results
+/// are pinned only on the platform the digests were recorded on.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn faulted_closed_loop_outputs_match_golden_digests() {
+    use sizeless::engine::{fnv1a, Simulation};
+    use sizeless::obs::MemorySink;
+    let platform = Platform::aws_like();
+    let mut fleet = faulted_closed_loop_fleet(&platform, 1)
+        .with_metrics()
         .with_trace(MemorySink::new());
-        let (report, sink) = fleet.run_traced();
-        (report, sink.to_jsonl())
-    };
-
-    let (serial, serial_trace) = run(1);
-    let (threaded, threaded_trace) = run(4);
+    let mut sim = Simulation::new();
+    fleet.prime(&mut sim);
+    sim.run_to_completion(&mut fleet);
+    let metrics = fleet
+        .metrics()
+        .expect("metrics enabled")
+        .snapshot_json(sim.now().as_millis());
+    let (report, sink) = fleet.into_report_and_sink(&sim);
+    let report = serde_json::to_string(&report).expect("report serializes");
+    let trace = sink.to_jsonl();
+    assert!(report.contains("\"host_crashes\""), "run must be faulted");
+    assert!(trace.contains("\"retry_scheduled\""), "run must retry");
+    let digests = [fnv1a(&report), fnv1a(&trace), fnv1a(&metrics)];
     assert_eq!(
-        serial, threaded,
-        "faulted closed-loop fleet diverged across thread counts"
+        digests,
+        [0xdf1b_743c_f7a0_72a3, 0x663d_805d_6729_d624, 0xdad7_6925_ce45_151c],
+        "report/trace/metrics digests changed"
     );
-    assert_eq!(
-        serial_trace, threaded_trace,
-        "faulted trace bytes diverged across thread counts"
-    );
-    let (repeat, repeat_trace) = run(1);
-    assert_eq!(serial, repeat, "faulted run diverged across repeats");
-    assert_eq!(serial_trace, repeat_trace, "faulted trace diverged across repeats");
-
-    // The run must actually exercise the fault machinery.
-    let faults = serial.faults.expect("fault plan reports a summary");
-    assert!(faults.host_crashes > 0, "no crash ever fired");
-    assert!(serial.counters.failed_attempts > 0, "no attempt ever failed");
-    assert!(serial.counters.retries_scheduled > 0, "no retry ever scheduled");
-    assert!(serial.counters.completed > 0, "no request ever completed");
-    assert!(serial.counters.is_conserved());
 }
 
 /// A small trained artifact whose offline dataset measurement fans out over
