@@ -6,8 +6,9 @@
 
 use criterion::{criterion_main, Criterion};
 use sizeless_engine::RngStream;
+use sizeless_neural::layer::Dense;
 use sizeless_neural::{
-    cross_validate, Loss, Matrix, NetworkConfig, NeuralNetwork, OptimizerKind, Scratch,
+    cross_validate, Activation, Loss, Matrix, NetworkConfig, NeuralNetwork, OptimizerKind, Scratch,
 };
 
 fn dataset(n: usize, dim: usize, targets: usize, seed: u64) -> (Matrix, Matrix) {
@@ -75,10 +76,50 @@ fn bench_matmul(c: &mut Criterion) {
     group.bench_function("matmul_transpose_a_into_dw_256", |bch| {
         bch.iter(|| x.matmul_transpose_a_into(&delta, &mut out))
     });
-    group.bench_function("matmul_transpose_b_into_grad_256", |bch| {
-        bch.iter(|| delta.matmul_transpose_b_into(&w, &mut out))
+    // The input gradient δ·Wᵀ (32 × 256 · (256 × 256)ᵀ), computed as
+    // (W·δᵀ)ᵀ with a staged δᵀ, exactly as `Dense::backward_into` runs it.
+    let mut delta_t = Matrix::zeros(0, 0);
+    group.bench_function("matmul_transpose_b_into_input_grad_256", |bch| {
+        bch.iter(|| delta.matmul_transpose_b_into(&w, &mut delta_t, &mut out))
     });
     group.finish();
+}
+
+fn bench_dense_backward(c: &mut Criterion) {
+    // One hidden layer of the Table-2 architecture (256 → 256, ReLU, Adam,
+    // L2 = 0.01) at batch 32: weight and input gradients plus the fused
+    // L2 + Adam step, with every work buffer reused as in training.
+    let mut rng = RngStream::from_seed(10, "bench-dense-backward");
+    let mut layer = Dense::new(
+        256,
+        256,
+        Activation::Relu,
+        OptimizerKind::Adam { lr: 0.001 },
+        &mut rng,
+    );
+    let input = Matrix::he_init(32, 256, &mut rng);
+    let output = layer.forward(&input);
+    let grad_output = Matrix::he_init(32, 256, &mut rng);
+    let mut delta = Matrix::zeros(0, 0);
+    let mut grad_input = Matrix::zeros(0, 0);
+    let mut d_w = Matrix::zeros(0, 0);
+    let mut d_b = Vec::new();
+    let mut delta_t = Matrix::zeros(0, 0);
+    c.bench_function("neural/layer/dense_backward_into_256x256_batch32", |b| {
+        b.iter(|| {
+            delta.clone_from(&grad_output);
+            layer.backward_into(
+                &input,
+                &output,
+                &mut delta,
+                Some(&mut grad_input),
+                &mut d_w,
+                &mut d_b,
+                &mut delta_t,
+                0.01,
+            );
+        })
+    });
 }
 
 fn bench_single_train_step(c: &mut Criterion) {
@@ -137,7 +178,7 @@ fn bench_losses(c: &mut Criterion) {
 #[allow(missing_docs)]
 mod harness {
     use super::{
-        bench_inference, bench_losses, bench_matmul, bench_one_grid_point,
+        bench_dense_backward, bench_inference, bench_losses, bench_matmul, bench_one_grid_point,
         bench_single_train_step, bench_training_epoch,
     };
     use criterion::criterion_group;
@@ -146,6 +187,7 @@ mod harness {
         bench_training_epoch,
         bench_inference,
         bench_matmul,
+        bench_dense_backward,
         bench_single_train_step,
         bench_one_grid_point,
         bench_losses

@@ -133,6 +133,9 @@ struct Walker<'a> {
     frames: Vec<Frame>,
     pending: Option<Pending>,
     pending_test: bool,
+    /// Open `(`/`[` nesting: a `;` inside it (an array type such as
+    /// `[f64; N]` in a signature) does not end an item.
+    nest: usize,
     /// Qualified names of the non-test functions with a body seen so far.
     fns: Vec<String>,
 }
@@ -144,6 +147,7 @@ impl<'a> Walker<'a> {
             frames: Vec::new(),
             pending: None,
             pending_test: false,
+            nest: 0,
             fns: Vec::new(),
         }
     }
@@ -182,7 +186,11 @@ impl<'a> Walker<'a> {
             {
                 self.pending_test = true;
             }
-            TokenKind::Punct if t.text == ";" => {
+            TokenKind::Open if t.text == "(" || t.text == "[" => self.nest += 1,
+            TokenKind::Close if t.text == ")" || t.text == "]" => {
+                self.nest = self.nest.saturating_sub(1);
+            }
+            TokenKind::Punct if t.text == ";" && self.nest == 0 => {
                 // A semicolon ends a declaration (trait method, file module)
                 // before any body brace: drop pending item state.
                 self.pending = None;
@@ -206,7 +214,9 @@ impl<'a> Walker<'a> {
                         self.pending = Some(Pending::Mod(name.to_string()));
                     }
                 }
-                "impl" => {
+                // `impl Trait` in a pending fn's signature is a type, not
+                // an impl block.
+                "impl" if !matches!(self.pending, Some(Pending::Fn(_))) => {
                     if let Some(ty) = self.impl_type_name(i + 1) {
                         self.pending = Some(Pending::ImplBlock(ty));
                     }

@@ -250,6 +250,27 @@ impl Other {
     );
 }
 
+#[test]
+fn hot001_sees_functions_with_array_or_impl_trait_parameters() {
+    // A `;` inside an array type and an argument-position `impl Trait`
+    // are part of the signature: the body still belongs to the function.
+    let config = Config {
+        hot_functions: vec!["kernel".into(), "State::update".into()],
+        ..Config::default()
+    };
+    let report = lint_source(
+        "crates/neural/src/matrix.rs",
+        r#"
+fn kernel<const R: usize>(rows: &[&[f64]; R]) { let v = vec![0.0; R]; }
+impl State {
+    fn update(&mut self, f: impl Fn(f64) -> f64) { let c = self.v.clone(); }
+}
+"#,
+        &config,
+    );
+    assert_eq!(rules_of(&report), vec!["hot001", "hot001"]);
+}
+
 // ---- panic001/panic002/panic003: panic safety ------------------------
 
 #[test]

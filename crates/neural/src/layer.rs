@@ -80,16 +80,20 @@ impl Dense {
     ///   ∂L/∂z via the activation derivative;
     /// * `grad_input` — if present, receives ∂L/∂input (skip for the
     ///   first trainable layer, where nothing consumes it);
-    /// * `d_w` / `d_b` / `w_t` — caller-owned work buffers, fully
-    ///   overwritten (`w_t` stages the transposed weights).
+    /// * `d_w` / `d_b` / `delta_t` — caller-owned work buffers, fully
+    ///   overwritten (`delta_t` stages the batch-sized `δᵀ` and is left
+    ///   holding scratch data).
     ///
     /// Applies the optimizer update (with L2 on weights, not biases)
     /// before returning. The weight gradient uses the fused `inputᵀ·δ`
-    /// kernel; the input gradient stages `Wᵀ` in `w_t` and runs the
-    /// FMA-tiled [`Matrix::matmul_into`], which is bit-identical to the
-    /// fused [`Matrix::matmul_transpose_b_into`] (same ascending-`k`
-    /// chains) but substantially faster at training shapes, where the
-    /// dot-product form cannot use SIMD loads.
+    /// kernel. The input gradient `δ·Wᵀ` is computed as `(W·δᵀ)ᵀ` by
+    /// [`Matrix::matmul_transpose_b_into`]: only batch-sized matrices are
+    /// transposed (`δ` into `delta_t`, and the result), `W` is read in
+    /// place as the tiled kernel's left operand, and the result is
+    /// bit-identical to `δ·Wᵀ` from the textbook loop. The L2 term `2λW`
+    /// is folded into the optimizer's per-parameter pass (see
+    /// [`OptimizerState::step`]), so each weight matrix is walked once
+    /// per batch.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_into(
         &mut self,
@@ -99,27 +103,24 @@ impl Dense {
         grad_input: Option<&mut Matrix>,
         d_w: &mut Matrix,
         d_b: &mut Vec<f64>,
-        w_t: &mut Matrix,
+        delta_t: &mut Matrix,
         l2: f64,
     ) {
         // δ = grad_output ⊙ act'(z), in place.
         self.activation.apply_derivative(output, delta);
 
-        // Parameter gradients. L2 matches the Keras convention: the penalty
-        // λ‖W‖² is added per batch, contributing 2λW to the gradient.
+        // Parameter gradients of the data loss; the L2 penalty λ‖W‖²
+        // (Keras convention, added per batch) joins in the optimizer step.
         input.matmul_transpose_a_into(delta, d_w);
-        if l2 > 0.0 {
-            d_w.add_scaled(&self.weights, 2.0 * l2);
-        }
         delta.column_sums_into(d_b);
 
+        // The input gradient reads W before the step below updates it.
         if let Some(grad_input) = grad_input {
-            self.weights.transpose_into(w_t);
-            delta.matmul_into(w_t, grad_input);
+            delta.matmul_transpose_b_into(&self.weights, delta_t, grad_input);
         }
 
-        self.w_state.step(self.weights.data_mut(), d_w.data());
-        self.b_state.step(&mut self.bias, d_b);
+        self.w_state.step(self.weights.data_mut(), d_w.data(), l2);
+        self.b_state.step(&mut self.bias, d_b, 0.0);
     }
 
     /// Gradients only, without updating parameters (used by tests for
@@ -155,7 +156,7 @@ mod tests {
         let mut grad_input = Matrix::zeros(0, 0);
         let mut d_w = Matrix::zeros(0, 0);
         let mut d_b = Vec::new();
-        let mut w_t = Matrix::zeros(0, 0);
+        let mut delta_t = Matrix::zeros(0, 0);
         layer.backward_into(
             x,
             &out,
@@ -163,7 +164,7 @@ mod tests {
             Some(&mut grad_input),
             &mut d_w,
             &mut d_b,
-            &mut w_t,
+            &mut delta_t,
             l2,
         );
         grad_input

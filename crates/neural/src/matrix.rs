@@ -8,16 +8,17 @@
 //! The training hot path goes through the `*_into` kernels —
 //! [`Matrix::matmul_into`], [`Matrix::matmul_transpose_a_into`] (`Aᵀ·B`
 //! without materializing `Aᵀ`), and [`Matrix::matmul_transpose_b_into`]
-//! (`A·Bᵀ` likewise) — which write into a caller-owned output matrix whose
-//! allocation is reused across calls. All three use a register-tiled
-//! microkernel ([`MR`]`×`[`NR`] accumulators held in registers) so the
-//! active slice of the right-hand operand (`n × NR × 8` bytes per column
-//! chunk) stays L1-resident while the inner loop streams over `k`.
+//! (`A·Bᵀ` computed as `(B·Aᵀ)ᵀ`, staging only the small `Aᵀ`) — which
+//! write into a caller-owned output matrix whose allocation is reused
+//! across calls. All three use a register-tiled microkernel (8 × 8, then
+//! 4 × 8 and single-row accumulator tiles held in registers) so the active
+//! slice of the right-hand operand (`n × 8 × 8` bytes per column chunk)
+//! stays L1-resident while the inner loop streams over `k`.
 //!
-//! Every kernel accumulates each output element as a single chain of adds
-//! in ascending-`k` order — exactly the order of the textbook triple loop —
-//! so the fused kernels are **bit-identical** to the naive reference (a
-//! property-tested guarantee; see `tests/properties.rs`).
+//! Every kernel accumulates each output element as a single chain of
+//! fused multiply-adds in ascending-`k` order — exactly the order of the
+//! textbook triple loop — so the fused kernels are **bit-identical** to the
+//! naive reference (a property-tested guarantee; see `tests/properties.rs`).
 
 use serde::{Deserialize, Serialize};
 use sizeless_engine::RngStream;
@@ -30,6 +31,8 @@ const MR2: usize = 8;
 /// Output columns processed per microkernel tile (two AVX2 lanes of f64,
 /// one AVX-512 lane; `n × NR` doubles of the B operand stay L1-resident).
 const NR: usize = 8;
+/// Side of the square tiles [`Matrix::transpose_into`] copies.
+const TT: usize = 8;
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -324,12 +327,24 @@ impl Matrix {
         }
     }
 
-    /// Fused `out = self × otherᵀ` without materializing the transpose.
+    /// Fused `out = self × otherᵀ` without materializing `otherᵀ`.
     ///
-    /// `self` is `m × n`, `other` is `p × n`, `out` becomes `m × p`. Every
-    /// output element is a dot product of two contiguous rows, accumulated
-    /// in ascending-`k` order — bit-identical to
-    /// `self.matmul(&other.transpose())`.
+    /// `self` is `m × n`, `other` is `p × n`, `out` becomes `m × p`. The
+    /// product is computed as `(other × selfᵀ)ᵀ`: only `self` is
+    /// transposed (into the caller-owned staging buffer `self_t`), and
+    /// `other`'s rows feed the register-tiled [`Matrix::matmul_into`]
+    /// microkernel as its left operand. The `p × m` result is transposed
+    /// into place at the end, so `other` is read where it lies. This pays
+    /// off when `other` is the large operand, as in the backward pass
+    /// (`δ·Wᵀ` with a batch-sized `δ` and a square `W`): both transposes
+    /// touch only batch-sized matrices. Every output element is one
+    /// ascending-`k` chain of `other[j][k]·self[i][k]` fused
+    /// multiply-adds; `fma(a, b, c) == fma(b, a, c)` exactly, so the
+    /// result is bit-identical to `self.matmul(&other.transpose())`.
+    ///
+    /// On return `self_t` holds scratch data (its allocation is swapped
+    /// with `out`'s); both are reused across calls without allocating
+    /// once they have grown to the largest shape.
     ///
     /// # Panics
     ///
@@ -342,80 +357,26 @@ impl Matrix {
     ///
     /// let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
     /// let b = Matrix::from_rows(&[&[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
+    /// let mut staging = Matrix::zeros(0, 0); // reused across calls
     /// let mut out = Matrix::zeros(0, 0);
-    /// a.matmul_transpose_b_into(&b, &mut out); // A·Bᵀ
+    /// a.matmul_transpose_b_into(&b, &mut staging, &mut out); // A·Bᵀ
     /// assert_eq!(out, a.matmul(&b.transpose()));
     /// ```
-    pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub fn matmul_transpose_b_into(&self, other: &Matrix, self_t: &mut Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_transpose_b dimension mismatch {}x{} × ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n, p) = (self.rows, self.cols, other.rows);
-        out.resize_for_overwrite(m, p);
-        let mut i = 0;
-        // MR×MR dot-product tile: 16 independent ascending-k chains keep
-        // the FP ports busy, and each A-row load is shared by MR columns.
-        while i + MR <= m {
-            let a_rows = [
-                &self.data[i * n..(i + 1) * n],
-                &self.data[(i + 1) * n..(i + 2) * n],
-                &self.data[(i + 2) * n..(i + 3) * n],
-                &self.data[(i + 3) * n..(i + 4) * n],
-            ];
-            let mut j = 0;
-            while j + MR <= p {
-                let b_rows = [
-                    &other.data[j * n..(j + 1) * n],
-                    &other.data[(j + 1) * n..(j + 2) * n],
-                    &other.data[(j + 2) * n..(j + 3) * n],
-                    &other.data[(j + 3) * n..(j + 4) * n],
-                ];
-                let mut acc = [[0.0f64; MR]; MR];
-                for k in 0..n {
-                    // lint: allow(panic003) reason="b_rows is a fixed four-element array built just above; indices 0..=3 are in bounds"
-                    let bs = [b_rows[0][k], b_rows[1][k], b_rows[2][k], b_rows[3][k]];
-                    for (acc_r, a_r) in acc.iter_mut().zip(&a_rows) {
-                        let av = a_r[k];
-                        for (o, &bv) in acc_r.iter_mut().zip(&bs) {
-                            *o = av.mul_add(bv, *o);
-                        }
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate() {
-                    out.data[(i + r) * p + j..(i + r) * p + j + MR].copy_from_slice(acc_r);
-                }
-                j += MR;
-            }
-            while j < p {
-                let b_row = &other.data[j * n..(j + 1) * n];
-                let mut acc = [0.0f64; MR];
-                for k in 0..n {
-                    let bv = b_row[k];
-                    for (o, a_r) in acc.iter_mut().zip(&a_rows) {
-                        *o = a_r[k].mul_add(bv, *o);
-                    }
-                }
-                for (r, &v) in acc.iter().enumerate() {
-                    out.data[(i + r) * p + j] = v;
-                }
-                j += 1;
-            }
-            i += MR;
-        }
-        while i < m {
-            let a_row = &self.data[i * n..(i + 1) * n];
-            for j in 0..p {
-                let b_row = &other.data[j * n..(j + 1) * n];
-                let mut sum = 0.0;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    sum = av.mul_add(bv, sum);
-                }
-                out.data[i * p + j] = sum;
-            }
-            i += 1;
-        }
+        // The tile is stored transposed by a separate pass rather than from
+        // the microkernel's registers: a scattered register-tile store
+        // keeps LLVM from vectorizing the accumulators (measured 4–5×
+        // slower at 32 × 256 · (256 × 256)ᵀ), and the extra pass is one
+        // batch-sized transpose.
+        self.transpose_into(self_t);
+        other.matmul_into(self_t, out);
+        out.transpose_into(self_t);
+        std::mem::swap(out, self_t);
     }
 
     /// Transpose.
@@ -427,15 +388,20 @@ impl Matrix {
 
     /// Transpose into a reusable buffer (allocation-free after warmup).
     ///
-    /// The backward pass uses this to stage `Wᵀ` in scratch once per
-    /// layer per batch: the FMA-vectorized [`Matrix::matmul_into`] on the
-    /// staged transpose outpaces the gather-bound `A·Bᵀ` dot-product form
-    /// for the training shapes, and the result is bit-identical.
+    /// Walks the matrix in 8 × 8 tiles, so the strided writes of one tile
+    /// land in eight cache lines that stay resident until the tile is done.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        out.resize_for_overwrite(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        let (rows, cols) = (self.rows, self.cols);
+        out.resize_for_overwrite(cols, rows);
+        for r0 in (0..rows).step_by(TT) {
+            let r1 = (r0 + TT).min(rows);
+            for c0 in (0..cols).step_by(TT) {
+                let c1 = (c0 + TT).min(cols);
+                for r in r0..r1 {
+                    for c in c0..c1 {
+                        out.data[c * rows + r] = self.data[r * cols + c];
+                    }
+                }
             }
         }
     }
@@ -768,6 +734,10 @@ mod tests {
             (8, 3, 9),
             (12, 16, 24),
             (13, 2, 31),
+            // Backward shapes of the Table-2 network: a full batch of 32
+            // and the 24-row last batch of a 120-row dataset.
+            (32, 256, 256),
+            (24, 256, 11),
         ] {
             let a = random_matrix(m, n, &mut rng);
             let b = random_matrix(n, p, &mut rng);
@@ -780,7 +750,8 @@ mod tests {
             assert_bits_eq(&out, &reference_matmul(&at.transpose(), &b));
 
             let bt = random_matrix(p, n, &mut rng);
-            a.matmul_transpose_b_into(&bt, &mut out);
+            let mut a_t = Matrix::zeros(0, 0);
+            a.matmul_transpose_b_into(&bt, &mut a_t, &mut out);
             assert_bits_eq(&out, &reference_matmul(&a, &bt.transpose()));
         }
     }

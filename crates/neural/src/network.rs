@@ -231,7 +231,7 @@ impl NeuralNetwork {
                 grad_input,
                 &mut scratch.d_w,
                 &mut scratch.d_b,
-                &mut scratch.w_t,
+                &mut scratch.delta_t,
                 self.config.l2,
             );
             if l > frozen {

@@ -105,16 +105,38 @@ pub enum OptimizerState {
 }
 
 impl OptimizerState {
-    /// Applies one update step: `params -= step(grads)`.
+    /// Applies one update step with an L2 penalty folded in:
+    /// `params -= step(grads + 2·l2·params)`.
+    ///
+    /// The penalty `l2·‖params‖²` follows the Keras convention and adds
+    /// `2·l2·param` to each gradient. It is computed per parameter, before
+    /// that parameter is updated, exactly as `grads.add_scaled(params,
+    /// 2.0 * l2)` followed by the plain step would compute it, so folding
+    /// it in changes no bit but walks the parameters once instead of
+    /// twice. `l2 <= 0` disables the penalty (the gradient is used as is).
     ///
     /// # Panics
     ///
     /// Panics if `params` and `grads` lengths differ from the state size.
-    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+    pub fn step(&mut self, params: &mut [f64], grads: &[f64], l2: f64) {
+        if l2 > 0.0 {
+            let scale = 2.0 * l2;
+            self.update(params, grads, |g, p| g + p * scale);
+        } else {
+            self.update(params, grads, |g, _| g);
+        }
+    }
+
+    /// The per-parameter update loop of [`OptimizerState::step`], with
+    /// `grad(g, p)` giving the effective gradient of a parameter `p` whose
+    /// loss gradient is `g`.
+    #[inline]
+    fn update(&mut self, params: &mut [f64], grads: &[f64], grad: impl Fn(f64, f64) -> f64) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         match self {
             OptimizerState::Sgd { lr } => {
-                for (p, g) in params.iter_mut().zip(grads) {
+                for (p, &g) in params.iter_mut().zip(grads) {
+                    let g = grad(g, *p);
                     *p -= *lr * g;
                 }
             }
@@ -141,6 +163,7 @@ impl OptimizerState {
                 for (((p, &g), m_i), v_i) in
                     params.iter_mut().zip(grads).zip(m.iter_mut()).zip(v.iter_mut())
                 {
+                    let g = grad(g, *p);
                     *m_i = *beta1 * *m_i + (1.0 - *beta1) * g;
                     *v_i = *beta2 * *v_i + (1.0 - *beta2) * g * g;
                     *p -= alpha * *m_i / (v_i.sqrt() + *eps);
@@ -149,6 +172,7 @@ impl OptimizerState {
             OptimizerState::Adagrad { lr, eps, acc } => {
                 assert_eq!(params.len(), acc.len(), "state sized for another layer");
                 for ((p, &g), acc_i) in params.iter_mut().zip(grads).zip(acc.iter_mut()) {
+                    let g = grad(g, *p);
                     *acc_i += g * g;
                     *p -= *lr * g / (acc_i.sqrt() + *eps);
                 }
@@ -174,7 +198,7 @@ mod tests {
             let mut x = [5.0];
             for _ in 0..100_000 {
                 let grad = [2.0 * x[0]];
-                state.step(&mut x, &grad);
+                state.step(&mut x, &grad, 0.0);
             }
             // Adagrad's 1/√k step decay makes it the slowest to converge;
             // reaching the basin from 5.0 is what matters here.
@@ -186,7 +210,7 @@ mod tests {
     fn sgd_step_is_lr_times_grad() {
         let mut state = OptimizerKind::Sgd { lr: 0.1 }.state(2);
         let mut p = [1.0, 2.0];
-        state.step(&mut p, &[1.0, -1.0]);
+        state.step(&mut p, &[1.0, -1.0], 0.0);
         assert!((p[0] - 0.9).abs() < 1e-12);
         assert!((p[1] - 2.1).abs() < 1e-12);
     }
@@ -197,7 +221,7 @@ mod tests {
         // gradient magnitude.
         let mut state = OptimizerKind::Adam { lr: 0.001 }.state(1);
         let mut p = [0.0];
-        state.step(&mut p, &[1000.0]);
+        state.step(&mut p, &[1000.0], 0.0);
         assert!((p[0] + 0.001).abs() < 1e-6, "step={}", p[0]);
     }
 
@@ -205,10 +229,10 @@ mod tests {
     fn adagrad_steps_shrink() {
         let mut state = OptimizerKind::Adagrad { lr: 0.5 }.state(1);
         let mut p = [0.0];
-        state.step(&mut p, &[1.0]);
+        state.step(&mut p, &[1.0], 0.0);
         let first = p[0].abs();
         let before = p[0];
-        state.step(&mut p, &[1.0]);
+        state.step(&mut p, &[1.0], 0.0);
         let second = (p[0] - before).abs();
         assert!(second < first, "first={first} second={second}");
     }
@@ -225,6 +249,6 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut state = OptimizerKind::Sgd { lr: 0.1 }.state(1);
         let mut p = [0.0];
-        state.step(&mut p, &[1.0, 2.0]);
+        state.step(&mut p, &[1.0, 2.0], 0.0);
     }
 }

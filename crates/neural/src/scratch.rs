@@ -66,8 +66,10 @@ pub struct Scratch {
     pub(crate) d_w: Matrix,
     /// Bias-gradient buffer.
     pub(crate) d_b: Vec<f64>,
-    /// Staging buffer for a layer's transposed weights (`Wᵀ`).
-    pub(crate) w_t: Matrix,
+    /// Staging buffer of the input-gradient kernel: the transposed
+    /// gradient `δᵀ` (output × batch), then its batch-sized result
+    /// (never a weight matrix).
+    pub(crate) delta_t: Matrix,
     /// Mini-batch slice of the inputs.
     pub(crate) xb: Matrix,
     /// Mini-batch slice of the targets.
@@ -89,7 +91,7 @@ impl Scratch {
             delta_next: Matrix::zeros(0, 0),
             d_w: Matrix::zeros(0, 0),
             d_b: Vec::new(),
-            w_t: Matrix::zeros(0, 0),
+            delta_t: Matrix::zeros(0, 0),
             xb: Matrix::zeros(0, 0),
             yb: Matrix::zeros(0, 0),
         }

@@ -445,6 +445,72 @@ fn faulted_closed_loop_outputs_match_golden_digests() {
     );
 }
 
+/// Golden digest of a trained artifact with the full Table-2 network
+/// (4 × 256 ReLU, Adam, MAPE, L2 = 0.01) on a small dataset, after one
+/// online fine-tuning round with the first layer frozen. Every training
+/// kernel (forward, weight and input gradients, the L2 + optimizer step,
+/// and the frozen-layer backward that skips the input gradient) feeds
+/// these bytes, so a kernel rewrite that changes one bit of one weight
+/// changes the digest. Pinned only where it was recorded (float
+/// formatting and libm results).
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn trained_sizer_matches_golden_digest() {
+    use sizeless::core::OnlineObservation;
+    use sizeless::engine::fnv1a;
+    use sizeless::neural::Scratch;
+
+    let platform = Platform::aws_like();
+    let mut dataset_cfg = DatasetConfig::tiny(40);
+    dataset_cfg.seed = 41;
+    let cfg = TrainerConfig {
+        dataset: dataset_cfg,
+        network: NetworkConfig {
+            epochs: 20,
+            ..NetworkConfig::default()
+        },
+        seed: 41,
+        ..TrainerConfig::default()
+    };
+    assert_eq!(
+        (
+            cfg.network.hidden_layers,
+            cfg.network.neurons,
+            cfg.network.l2
+        ),
+        (4, 256, 0.01),
+        "the digest must cover the Table-2 shape"
+    );
+    let dataset = TrainingDataset::generate(&platform, &cfg.dataset);
+    let mut sizer = Trainer::new(cfg)
+        .train_from_dataset(&platform, &dataset)
+        .expect("trainable");
+
+    let directed = [MemorySize::MB_128, MemorySize::MB_512, MemorySize::MB_1024];
+    let observations: Vec<OnlineObservation> = dataset
+        .records
+        .iter()
+        .take(12)
+        .zip(directed.iter().cycle())
+        .map(|(record, &size)| OnlineObservation {
+            metrics: record.metrics_at(MemorySize::MB_256).clone(),
+            directed: size,
+            observed_ms: record.metrics_at(size).mean_execution_time_ms(),
+        })
+        .collect();
+    let rows = sizer
+        .model_mut()
+        .fine_tune_online(&observations, 1, 5, 0, &mut Scratch::new());
+    assert_eq!(rows, 12, "every observation carries a ratio");
+
+    let json = serde_json::to_string(&sizer).expect("artifact serializes");
+    let digest = fnv1a(&json);
+    assert_eq!(
+        digest, 0x3462_176c_a6a3_9758,
+        "trained artifact digest changed: {digest:#018x}"
+    );
+}
+
 /// A small trained artifact whose offline dataset measurement fans out over
 /// `threads` workers — the only multi-threaded stage anywhere in the
 /// closed loop.

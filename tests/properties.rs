@@ -246,23 +246,96 @@ proptest! {
         assert_bits_eq(&out, &reference_matmul(&a.transpose(), &b));
     }
 
-    /// `A·Bᵀ` without materializing the transpose is bit-identical to
-    /// materializing it and multiplying naively.
+    /// `A·Bᵀ`, computed as `(B·Aᵀ)ᵀ` with a staged `Aᵀ`, is bit-identical
+    /// to the textbook dot-product loop. Dims are drawn from
+    /// the training shapes (batch 32 and the 24-row last batch of a 120-row
+    /// dataset, single rows, 5 targets, 11 features, 256 neurons) and from
+    /// small sizes around the 8 × 8 and 4 × 8 tile edges. The staging and
+    /// output buffers arrive NaN-filled at the right element count, so an
+    /// element the kernel fails to write shows up.
     #[test]
     fn matmul_transpose_b_into_matches_naive_reference(
-        m in 1usize..DIM_MAX,
-        n in 1usize..DIM_MAX,
-        p in 1usize..DIM_MAX,
-        a_pool in proptest::collection::vec(-100.0f64..100.0, DIM_MAX * DIM_MAX),
-        b_pool in proptest::collection::vec(-100.0f64..100.0, DIM_MAX * DIM_MAX),
+        mi in 0usize..16,
+        ni in 0usize..16,
+        pi in 0usize..16,
+        seed in 0u64..10_000,
     ) {
         use sizeless::neural::Matrix;
-        let a = matrix_from_pool(m, n, &a_pool);
-        let b = matrix_from_pool(p, n, &b_pool); // used as Bᵀ
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_transpose_b_into(&b, &mut out);
-        assert_bits_eq(&out, &reference_matmul(&a, &b.transpose()));
+        let (m, n, p) = (edge_dim(mi), edge_dim(ni), edge_dim(pi));
+        let mut rng = RngStream::from_seed(seed, "prop-matmul-tb");
+        let a = random_matrix(m, n, &mut rng);
+        let b = random_matrix(p, n, &mut rng); // used as Bᵀ
+        let mut a_t = Matrix::from_vec(m, n, vec![f64::NAN; m * n]);
+        let mut out = Matrix::from_vec(p, m, vec![f64::NAN; m * p]);
+        a.matmul_transpose_b_into(&b, &mut a_t, &mut out);
+        assert_bits_eq(&out, &reference_matmul_transpose_b(&a, &b));
     }
+
+    /// The optimizer step with the L2 term folded in is bit-identical to
+    /// adding `2·l2·W` to the gradient with `add_scaled` and then taking
+    /// the plain step, for every optimizer, with and without L2, over
+    /// several consecutive steps (so Adam's and Adagrad's state matters).
+    #[test]
+    fn fused_l2_step_matches_add_scaled_then_step(
+        len in 1usize..40,
+        l2 in 0.0001f64..0.1,
+        seed in 0u64..10_000,
+    ) {
+        use sizeless::neural::optimizer::OptimizerKind;
+        let mut rng = RngStream::from_seed(seed, "prop-fused-l2");
+        for kind in OptimizerKind::paper_grid() {
+            for l2 in [0.0, l2] {
+                let mut fused = random_matrix(1, len, &mut rng);
+                let mut reference = fused.clone();
+                let mut fused_state = kind.state(len);
+                let mut reference_state = kind.state(len);
+                for _ in 0..3 {
+                    let grads = random_matrix(1, len, &mut rng);
+                    fused_state.step(fused.data_mut(), grads.data(), l2);
+                    let mut g = grads.clone();
+                    if l2 > 0.0 {
+                        g.add_scaled(&reference, 2.0 * l2);
+                    }
+                    reference_state.step(reference.data_mut(), g.data(), 0.0);
+                    assert_bits_eq(&fused, &reference);
+                }
+            }
+        }
+    }
+}
+
+/// Tile-edge and training dims for the kernel oracles: indices below 8
+/// pick a listed dim, the rest give 1..=8.
+fn edge_dim(i: usize) -> usize {
+    const DIMS: [usize; 8] = [1, 5, 11, 13, 24, 32, 256, 9];
+    DIMS.get(i).copied().unwrap_or_else(|| i - 7)
+}
+
+fn random_matrix(rows: usize, cols: usize, rng: &mut RngStream) -> sizeless::neural::Matrix {
+    let data = (0..rows * cols)
+        .map(|_| rng.uniform(-100.0, 100.0))
+        .collect();
+    sizeless::neural::Matrix::from_vec(rows, cols, data)
+}
+
+/// `A·Bᵀ` as the textbook loop: a dot product of row `i` of `A` and row
+/// `j` of `B`, one ascending-k accumulator chain per element. It forms no
+/// transpose, so it shares no code with the kernel under test.
+fn reference_matmul_transpose_b(
+    a: &sizeless::neural::Matrix,
+    b: &sizeless::neural::Matrix,
+) -> sizeless::neural::Matrix {
+    let mut out = sizeless::neural::Matrix::zeros(a.rows(), b.rows());
+    for i in 0..a.rows() {
+        for j in 0..b.rows() {
+            let mut sum = 0.0;
+            for k in 0..a.cols() {
+                sum = a.get(i, k).mul_add(b.get(j, k), sum);
+            }
+            out.set(i, j, sum);
+        }
+    }
+    out
 }
 
 proptest! {
